@@ -1,12 +1,26 @@
 """Certified numeric evaluation.
 
 Every reported value comes with an error bound that is sound by
-construction: partial sums are computed in exact rational arithmetic,
-series tails are bounded by elementary inequalities evaluated as exact
-rationals (rounded only upward), and the few genuinely irrational
-quantities (e^t, t^r, the tree-function branch) are enclosed in
-interval arithmetic at the working precision.  The working precision is
-the requested precision plus a fixed number of guard bits.
+construction.  Series are summed as fixed-point balls: each term is
+built exactly as an integer pair (num, den), without gcd reduction, and
+floored to W fractional bits, (num << W) // den.  A floor errs by less
+than one unit of 2^-W (by nothing when the division is exact), so for
+the integer sum S of the floors of count terms the exact partial sum
+lies in [S, S + count] * 2^-W; that interval is converted to binary
+with outward rounding.  W is chosen from the term count, the tolerance
+and the precision,
+
+    W = max(precision + GUARD_BITS, ceil(log2(count / tol)) + 16)
+        + bitlen(count),
+
+so the fixed-point radius count * 2^-W is below tol * 2^-16 even when
+the sum itself is tiny.  The error budget is the series tail plus the
+fixed-point radius plus the conversion rounding.  Series tails are
+bounded by elementary inequalities evaluated as exact rationals
+(rounded only upward), and the few genuinely irrational quantities
+(e^t, t^r, the tree-function branch) are enclosed in interval
+arithmetic at the working precision.  The working precision is the
+requested precision plus a fixed number of guard bits.
 
 Tail bounds use three facts, each elementary:
   * n! >= (n/e)^n, since e^n = sum n^k/k! >= n^n/n!;
@@ -347,17 +361,6 @@ def result_to_json(res: EvalResult) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _fpow(base: Fraction, e: int) -> Fraction:
-    """base^e with the series convention 0^0 = 1; 0^negative is a pole."""
-    if base == 0:
-        if e > 0:
-            return Fraction(0)
-        if e == 0:
-            return Fraction(1)
-        raise DomainError("zero base raised to a negative power")
-    return base ** e
-
-
 def _tail_after(K0: Fraction, delta: int, q: Fraction, N: int,
                 q_pow: Fraction):
     """Upper bound on sum_{n>N} K0 n^delta q^n given q_pow >= q^(N+1).
@@ -375,78 +378,175 @@ def _tail_after(K0: Fraction, delta: int, q: Fraction, N: int,
     return _dyadic_up(head / (1 - rho))
 
 
-def _sum_series(term_fn, n_start: int, K0: Fraction, delta: int,
-                q: Fraction, bound_from: int, tol_half: Fraction,
-                cap: int = 60000):
-    """Exact partial sum until the certified tail drops below tol_half."""
+_TERM_CAP = 60000
+
+
+def _log2(fr: Fraction) -> float:
+    return math.log2(fr.numerator) - math.log2(fr.denominator)
+
+
+def _series_order(n_start: int, K0: Fraction, delta: int, q: Fraction,
+                  bound_from: int, tol_half: Fraction):
+    """Smallest N whose certified tail is below tol_half, and that tail.
+
+    Only the tail bound is evaluated, so an infeasible tolerance fails
+    at the term cap before any term is built.
+    """
     if not 0 < q < 1:
         raise DomainError(f"geometric ratio {q} is not below 1")
     q = _dyadic_up(q)
     if q >= 1:
         raise DomainError("geometric ratio rounds to 1; x too close to 1/e")
-    S = Fraction(0)
+    # The tail bound is at least K0 (N+1)^delta q^(N+1); while the log2
+    # of that lower bound exceeds log2(tol_half) by one, the exact test
+    # cannot pass and is skipped.
+    log2_K0 = _log2(K0) if K0 > 0 else -math.inf
+    log2_q, log2_goal = _log2(q), _log2(tol_half) + 1
     N = n_start - 1
     q_pow = _dyadic_up(q ** n_start)
     while True:
-        n = N + 1
-        S += term_fn(n)
-        N = n
+        N += 1
         q_pow = _dyadic_up(q_pow * q)
-        if N >= bound_from and N >= 1:
+        log2_floor = log2_K0 + delta * math.log2(N + 1) + (N + 1) * log2_q
+        if N >= bound_from and N >= 1 and log2_floor <= log2_goal:
             tail = _tail_after(K0, delta, q, N, q_pow)
             if tail is not None and tail <= tol_half:
-                return S, N, tail
-        if N > cap:
+                return N, tail
+        if N > _TERM_CAP:
             raise DomainError(
                 "series did not meet the tolerance within the term cap")
 
 
+def _scaled_terms(coeff, wp: int, wq: int, n_start: int, N: int):
+    """Integer pairs (num, den), den > 0, of coeff(n) (wp/wq)^n / n!.
+
+    n runs over n_start..N; coeff(n) returns an integer pair (c, d)
+    with d != 0.  Nothing is reduced: w^n and n! are running products.
+    """
+    wn = wp ** n_start
+    dn = wq ** n_start * math.factorial(n_start)
+    for n in range(n_start, N + 1):
+        if n > n_start:
+            wn *= wp
+            dn *= wq * n
+        c, d = coeff(n)
+        if d < 0:
+            c, d = -c, -d
+        yield c * wn, d * dn
+
+
+def _fixed_bits(count: int, tol: Fraction, precision: int) -> int:
+    """Fixed-point width W for a sum of count floored terms.
+
+    The radius count * 2^-W stays below both 2^-(precision + GUARD_BITS)
+    and tol * 2^-16, so it is a negligible part of any error budget.
+    """
+    log2_count_over_tol = ((count * tol.denominator).bit_length()
+                           - tol.numerator.bit_length() + 1)
+    return (max(precision + GUARD_BITS, log2_count_over_tol + 16)
+            + count.bit_length())
+
+
+def _ball_sum(terms, count: int, tol: Fraction, precision: int):
+    """Interval holding the exact sum of the rationals num/den in terms.
+
+    Each term is floored to W = _fixed_bits(count, ...) fractional bits.
+    A floor errs by less than one unit of 2^-W, and by nothing when the
+    division is exact, so with k inexact terms the exact sum lies in
+    [S, S + k] * 2^-W for the integer sum S of the floors.  That
+    interval is converted with outward rounding at the current iv
+    precision; call inside _working.
+    """
+    W = _fixed_bits(count, tol, precision)
+    S = k = 0
+    for num, den in terms:
+        floor, rem = divmod(num << W, den)
+        S += floor
+        k += rem != 0
+    return iv.mpf([S, S + k]) * iv.mpf(mpmath.ldexp(1, -W))
+
+
+def _pair(value) -> tuple:
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 def _family_plan(spec: SeriesSpec):
-    """Term function plus certified dominance data for a family."""
+    """Term pairs plus certified dominance data for a family.
+
+    Returns (terms, n_start, K0, delta, q, bound_from) where terms(N)
+    yields the integer pairs of the terms n_start..N for _ball_sum.
+    """
     x = require_x_domain(spec.x)
     a, r, P = spec.a, spec.r, spec.P
     abs_x = abs(x)
     M_P = sum(abs(c) for c in P.coeffs) if not P.is_zero else Fraction(0)
     d = max(P.degree, 0)
     q = E_UB * abs_x
+    xp, xq = x.numerator, x.denominator
+    rp, rq = r.numerator, r.denominator
+    rq_a, rq_a_den = (rq ** a, 1) if a >= 0 else (1, rq ** -a)
+
+    def power_coeff(n: int, extra: int, extra_den: int):
+        # extra * P(n) * (n*rq + rp)^(n-a) * rq^a / extra_den, so that
+        # with w = x/rq the term is coeff(n) w^n / n!  (0^0 = 1)
+        pv = P.eval(Fraction(n))
+        c = extra * rq_a * pv.numerator
+        dd = extra_den * rq_a_den * pv.denominator
+        b, e = n * rq + rp, n - a
+        if e >= 0:
+            return c * b ** e, dd
+        if b == 0:
+            raise DomainError("zero base raised to a negative power")
+        return c, dd * b ** -e
 
     if spec.family == "kolberg":
         if r.denominator == 1 and a >= 2 and -(a - 1) <= r <= -1:
             raise DomainError(
                 f"family needs r outside {{-1, ..., {-(a - 1)}}}, got {r}")
 
-        def term(n: int) -> Fraction:
-            return (_fpow(n + r, n - a) * P.eval(Fraction(n))
-                    * x ** n / math.factorial(n))
+        def terms(N: int):
+            return _scaled_terms(lambda n: power_coeff(n, 1, 1),
+                                 xp, xq * rq, 1, N)
 
         C_r = exp_ub(abs(r)) * (1 + abs(r)) ** max(-a, 0)
-        return term, 1, M_P * C_r, d - a, q, max(a, 1)
+        return terms, 1, M_P * C_r, d - a, q, max(a, 1)
 
     if spec.family == "sharp":
-        def term(n: int) -> Fraction:
-            poly = r * r + 2 * n * r + 2 * n * n - n
-            return (poly * _fpow(n + r, n - a) * P.eval(Fraction(n))
-                    * x ** n / math.factorial(n))
+        def coeff(n: int):
+            # r^2 + 2nr + 2n^2 - n over the common denominator rq^2
+            poly = rp * rp + 2 * n * rp * rq + (2 * n * n - n) * rq * rq
+            return power_coeff(n, poly, rq * rq)
+
+        def terms(N: int):
+            return _scaled_terms(coeff, xp, xq * rq, 0, N)
 
         C_r = exp_ub(abs(r)) * (1 + abs(r)) ** max(-a, 0)
         C_2 = r * r + 2 * abs(r) + 3  # |r^2+2nr+2n^2-n| <= C_2 n^2, n >= 1
-        return term, 0, M_P * C_r * C_2, d - a + 2, q, max(a, 1)
+        return terms, 0, M_P * C_r * C_2, d - a + 2, q, max(a, 1)
 
     if spec.family == "example0":
-        def term(n: int) -> Fraction:
-            return ((n - 1) * _fpow(Fraction(n), n + a)
-                    * P.eval(Fraction(1, n)) * x ** n / math.factorial(n))
+        def coeff(n: int):
+            pv = P.eval(Fraction(1, n))
+            c, dd = (n - 1) * pv.numerator, pv.denominator
+            if n + a >= 0:
+                return c * n ** (n + a), dd
+            return c, dd * n ** -(n + a)
+
+        def terms(N: int):
+            return _scaled_terms(coeff, xp, xq, 2, N)
 
         # (n-1) n^(n+a) / n! <= n^(a+1) e^n for every n >= 1
-        return term, 2, M_P, a + 1, q, 2
+        return terms, 2, M_P, a + 1, q, 2
 
     # custom-H
     supplier = spec.supplier
 
-    def term(n: int) -> Fraction:
-        return Fraction(supplier(n)) * x ** n / math.factorial(n)
+    def terms(N: int):
+        return _scaled_terms(lambda n: _pair(supplier(n)), xp, xq,
+                             spec.bound_from, N)
 
-    return (term, spec.bound_from, Fraction(spec.bound_K),
+    return (terms, spec.bound_from, Fraction(spec.bound_K),
             spec.bound_delta, q, spec.bound_from)
 
 
@@ -454,15 +554,16 @@ def eval_theorem_series(spec: SeriesSpec, precision: int = 256,
                         target_tol="1e-30") -> EvalResult:
     """Certified evaluation of one of the series families.
 
-    The partial sum is exact; the reported error bound covers the
-    series tail plus the final rounding of the exact sum to binary.
+    N is chosen from the tail bound alone; the terms up to N are then
+    built exactly, floored to fixed point and summed.  The reported
+    error bound covers the series tail, the fixed-point radius and the
+    conversion of the sum to binary.
     """
     tol = tol_fraction(target_tol)
-    term, n_start, K0, delta, q, bound_from = _family_plan(spec)
-    S, N, tail = _sum_series(term, n_start, K0, delta, q, bound_from,
-                             tol / 2)
+    terms, n_start, K0, delta, q, bound_from = _family_plan(spec)
+    N, tail = _series_order(n_start, K0, delta, q, bound_from, tol / 2)
     with _working(precision):
-        enc = enclose_fraction(S)
+        enc = _ball_sum(terms(N), N - n_start + 1, tol, precision)
         rounding = _iv_rad(enc)
         if not mp.mpf(rounding) < _mpf_from_fraction(tol / 2):
             raise DomainError(
@@ -539,30 +640,45 @@ def _h_tail_after(M: Fraction, E: Fraction, zeta: Fraction, N: int
     return _dyadic_up(M * E * zeta ** (N + 1) / (1 - zeta))
 
 
+def _h_order(M: Fraction, E: Fraction, zeta: Fraction, target: Fraction
+             ) -> int:
+    """Smallest N >= 1 with _h_tail_after(M, E, zeta, N) <= target."""
+    N = 1
+    while _h_tail_after(M, E, zeta, N) > target:
+        if N >= _TERM_CAP:
+            raise DomainError(
+                "series did not meet the tolerance within the term cap")
+        N += 1 + N // 8
+    while N > 1 and _h_tail_after(M, E, zeta, N - 1) <= target:
+        N -= 1
+    return N
+
+
+def _h_terms(u, x: Fraction):
+    """Integer pairs of u_n x^n / n! for the u_n in u, for _ball_sum."""
+    return _scaled_terms(lambda n: _pair(u[n]), x.numerator, x.denominator,
+                         0, len(u) - 1)
+
+
 def eval_H_series(F: AdHocFunction, r, x, N: int | None = None,
                   precision: int = 256, target_tol="1e-30") -> EvalResult:
     """sum_{n<=N} u_n(r) x^n / n! with a certified tail bound.
 
-    With N omitted, the smallest N meeting target_tol/2 is used.
+    With N omitted, the smallest N meeting target_tol/2 is used.  The
+    sum is formed as in eval_theorem_series; the bound covers the tail,
+    the fixed-point radius and the conversion to binary.
     """
     r = Fraction(r)
     x = require_x_domain(x)
+    tol = tol_fraction(target_tol)
     R_t = substitute_y(F.R if isinstance(F, AdHocFunction) else F, r)
     M, E, zeta = _h_tail_params(R_t, r, x)
     if N is None:
-        tol = tol_fraction(target_tol)
-        N = 1
-        while _h_tail_after(M, E, zeta, N) > tol / 2 and N < 60000:
-            N += 1 + N // 8
-        while N > 1 and _h_tail_after(M, E, zeta, N - 1) <= tol / 2:
-            N -= 1
+        N = _h_order(M, E, zeta, tol / 2)
     tail = _h_tail_after(M, E, zeta, N)
     u = _h_u_values(R_t, r, N)
-    S = Fraction(0)
-    for n in range(N + 1):
-        S += u[n] * x ** n / math.factorial(n)
     with _working(precision):
-        enc = enclose_fraction(S)
+        enc = _ball_sum(_h_terms(u, x), N + 1, tol, precision)
         bound = _mpf_from_fraction(tail) * (1 + mpmath.ldexp(1, -8)) \
             + _iv_rad(enc)
         return EvalResult(_iv_mid(enc), bound, N, precision)
@@ -606,26 +722,19 @@ def check_identity(F: AdHocFunction, r, x, tol="1e-30",
     R_qyt = F.R if isinstance(F, AdHocFunction) else F
     R_t = substitute_y(R_qyt, r)
     M, E, zeta = _h_tail_params(R_t, r, x)
-    N = 1
-    target = tol_f / 8
-    while _h_tail_after(M, E, zeta, N) > target and N < 60000:
-        N += 1 + N // 8
-    while N > 1 and _h_tail_after(M, E, zeta, N - 1) <= target:
-        N -= 1
+    N = _h_order(M, E, zeta, tol_f / 8)
     tail = _h_tail_after(M, E, zeta, N)
     u = list(_h_u_values(R_t, r, N))
     if perturb:
         for idx, delta in perturb.items():
             if 0 <= idx <= N:
                 u[idx] += Fraction(delta)
-    S = Fraction(0)
-    for n in range(N + 1):
-        S += u[n] * x ** n / math.factorial(n)
     with _working(precision):
         t_iv = tree_t_interval(x, precision)
         tail_sym = iv.mpf([-_mpf_from_fraction(tail),
                            _mpf_from_fraction(tail)])
-        H_iv = enclose_fraction(S) + tail_sym
+        H_iv = _ball_sum(_h_terms(u, x), N + 1, tol_f, precision) \
+            + tail_sym
         if x > 0 or r.denominator == 1:
             form = "K"
             if r.denominator == 1:

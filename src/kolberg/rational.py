@@ -136,14 +136,17 @@ class UniPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("UniPoly power needs a nonnegative integer")
-        result = self._same([self.field.one])
+        if k == 0:
+            return self._same([self.field.one])
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __divmod__(self, other):
         o = self._coerce_operand(other)
@@ -426,15 +429,18 @@ class RatFunc:
             if self.is_zero:
                 raise ZeroDivisionError("zero to a negative power")
             return RatFunc(self.den, self.num) ** (-k)
-        result = RatFunc(_one_poly(self.num.field, self.var),
-                         _one_poly(self.num.field, self.var))
+        if k == 0:
+            return RatFunc(_one_poly(self.num.field, self.var),
+                           _one_poly(self.num.field, self.var))
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def diff(self):
         """Formal derivative in this layer's variable (quotient rule)."""

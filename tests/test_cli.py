@@ -49,6 +49,14 @@ class TestExitCodes:
         assert run(["eval", "kolberg", "--a", "1", "--x", "2/5"]) == 4
         assert "1/e" in capsys.readouterr().err
 
+    def test_term_cap_is_domain_error(self, capsys):
+        # N is chosen from the tail bound before any term is built, so an
+        # unreachable tolerance stops at the term cap within seconds
+        assert run(["eval", "kolberg", "--x", "1/3", "--tol", "1e-5000",
+                    "--prec", "64"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and "term cap" in err
+
 
 class TestAssoc:
     def test_inverse_prints_expanded_u7(self, capsys, diese_v_file):

@@ -15,7 +15,8 @@ from kolberg import (
     invert_xt_certified, kolberg_quatuor, parse_poly, require_x_domain,
     tol_fraction, tree_t_interval,
 )
-from kolberg.numeric import _iv_hi, _iv_lo, _working
+from kolberg import numeric
+from kolberg.numeric import _iv_hi, _iv_lo, _iv_mid, _working
 
 
 def mpf_to_fraction(x) -> Fraction:
@@ -236,6 +237,90 @@ class TestTheoremSeries:
         with _working(256):
             assert abs(res.value - t) < mpmath.mpf("1e-10")
         assert res.terms_used > 400
+
+
+class TestFixedPointSum:
+    """The floored fixed-point sum encloses the exact partial sum."""
+
+    def enclosure(self, spec, N, precision, tol):
+        terms, n_start, *_ = numeric._family_plan(spec)
+        with _working(precision):
+            return numeric._ball_sum(terms(N), N - n_start + 1,
+                                     tol_fraction(tol), precision)
+
+    def assert_encloses(self, enc, exact):
+        assert mpf_to_fraction(_iv_lo(enc)) <= exact \
+            <= mpf_to_fraction(_iv_hi(enc))
+
+    def test_seeded_specs_all_families(self):
+        rng = random.Random(2021)
+        seen = set()
+        for _ in range(40):
+            family = rng.choice(["kolberg", "sharp", "example0", "custom-H"])
+            x = Fraction(rng.randint(1, 30), 100) * rng.choice([1, -1])
+            if family == "custom-H":
+                e = rng.randint(-2, 1)
+                def supplier(n, e=e):
+                    return Fraction(n) ** (n + e)
+
+                spec = SeriesSpec(family, x, supplier=supplier,
+                                  bound_K=Fraction(1), bound_delta=e,
+                                  bound_from=1)
+                term = (lambda n, s=supplier, x=x: s(n) * x ** n
+                        / math.factorial(n))
+                n_start = 1
+            else:
+                a = rng.randint(-2, 4)
+                r = Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3]))
+                P = parse_poly(
+                    f"{rng.randint(-3, 3)}*n + {rng.randint(-3, 3)}")
+                spec = SeriesSpec(family, x, a=a, r=r, P=P)
+                term, n_start = family_term(spec)
+            precision = rng.choice([64, 128, 256])
+            tol = rng.choice(["1e-12", "1e-25"])
+            try:
+                res = eval_theorem_series(spec, precision, tol)
+            except DomainError:
+                continue
+            N = res.terms_used
+            enc = self.enclosure(spec, N, precision, tol)
+            self.assert_encloses(
+                enc, brute_sum(term, n_start, N - n_start + 1))
+            with _working(precision):
+                assert res.value == _iv_mid(enc)
+            seen.add(family)
+            if family in ("kolberg", "sharp") and spec.a > n_start:
+                seen.add("negative exponent")
+            if x < 0:
+                seen.add("negative x")
+        assert seen == {"kolberg", "sharp", "example0", "custom-H",
+                        "negative exponent", "negative x"}
+
+    def test_tiny_sum_width_set_by_tolerance(self):
+        # |S| ~ 1e-40: a width of precision + guard bits alone would give
+        # a fixed-point radius far above the tolerance
+        spec = SeriesSpec("kolberg", Fraction(1, 10 ** 40), a=1)
+        res = eval_theorem_series(spec, 64, "1e-60")
+        N = res.terms_used
+        assert numeric._fixed_bits(N, tol_fraction("1e-60"), 64) \
+            > 64 + numeric.GUARD_BITS + N.bit_length()
+        term, n_start = family_term(spec)
+        enc = self.enclosure(spec, N, 64, "1e-60")
+        self.assert_encloses(enc, brute_sum(term, n_start, N))
+        assert res.error_bound < mpmath.mpf("1e-60")
+
+    def test_h_series_sum(self):
+        q = kolberg_quatuor(-2, 2)
+        r, x = Fraction(1, 3), Fraction(-1, 5)
+        res = eval_H_series(q.level(-1), r, x, None, 256, "1e-30")
+        R_t = numeric.substitute_y(q.level(-1).R, r)
+        u = numeric._h_u_values(R_t, r, res.terms_used)
+        exact = sum(c * x ** n / math.factorial(n) for n, c in enumerate(u))
+        with _working(256):
+            enc = numeric._ball_sum(numeric._h_terms(u, x), len(u),
+                                    tol_fraction("1e-30"), 256)
+            assert res.value == _iv_mid(enc)
+        self.assert_encloses(enc, exact)
 
 
 class TestHSeries:

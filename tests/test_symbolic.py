@@ -146,6 +146,25 @@ class TestTower:
             substitute_y(R, Fraction(3))
         assert "y - 3" in str(err.value) or "3" in str(err.value)
 
+    def test_pow_equals_repeated_product(self):
+        rng = random.Random(42)
+
+        def small_qy():
+            return RatFunc(P([rng.randint(-4, 4), rng.randint(1, 3)], var="y"),
+                           P([rng.randint(1, 4)], var="y"))
+
+        for _ in range(3):
+            R = RatFunc(UniPoly(QY, "t", [small_qy(), small_qy()]),
+                        UniPoly(QY, "t", [small_qy(), QY.one]))
+            product, num_product = QYT.one, UniPoly(QY, "t", [QY.one])
+            for k in range(7):
+                assert R ** k == product, k
+                assert R.num ** k == num_product, k
+                if 1 <= k <= 3:
+                    assert R ** -k == 1 / product, -k
+                product = product * R
+                num_product = num_product * R.num
+
     def test_substitute_commutes_with_product(self):
         A = parse_qyt("(t + y)/(y + 1)")
         B = parse_qyt("(t^2 - y)/(t - 2)")
