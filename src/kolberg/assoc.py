@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .parsing import parse_to, print_canonical
-from .rational import QQ, QY
+from .rational import QQ, QY, _from_integers, _integer_numerators
 
 
 def _ring_by_tag(tag: str):
@@ -61,6 +62,25 @@ def _ipow(base: int, exp: int) -> int:
     return 1 if exp == 0 else base ** exp
 
 
+def _transform(seq: CoeffSeq, N: int, kind: str, weight) -> CoeffSeq:
+    """Entry 0 of seq, then sum_{m=1..n} weight(n, m) * seq[m], n = 1..N.
+
+    The entries are written as integer coefficient rows over one common
+    denominator, so each sum is an integer dot product per coefficient,
+    and each output is normalised once.
+    """
+    rows, den = _integer_numerators(seq.ring, seq.values[1:N + 1])
+    width = max(map(len, rows), default=0)
+    columns = list(zip(*(row + [0] * (width - len(row)) for row in rows)))
+    out = [seq.values[0]]
+    for n in range(1, N + 1):
+        w = [weight(n, m) for m in range(1, n + 1)]
+        out.append(_from_integers(
+            seq.ring, [sum(map(operator.mul, w, col)) for col in columns],
+            den))
+    return CoeffSeq(kind, seq.ring, tuple(out))
+
+
 def to_associated(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
     """G-coefficients of the associated series from H-coefficients."""
     if u.kind != "u":
@@ -69,14 +89,8 @@ def to_associated(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
         N = u.order
     if u.order < N:
         raise ValueError(f"need u_0..u_{N}, have only {u.order + 1} entries")
-    zero = u.ring.zero
-    out = [u.values[0]]
-    for n in range(1, N + 1):
-        acc = zero
-        for m in range(1, n + 1):
-            acc = acc + math.comb(n, m) * _ipow(-m, n - m) * u.values[m]
-        out.append(acc)
-    return CoeffSeq("v", u.ring, tuple(out))
+    return _transform(u, N, "v",
+                      lambda n, m: math.comb(n, m) * _ipow(-m, n - m))
 
 
 def from_associated(v: CoeffSeq, N: int | None = None) -> CoeffSeq:
@@ -87,14 +101,8 @@ def from_associated(v: CoeffSeq, N: int | None = None) -> CoeffSeq:
         N = v.order
     if v.order < N:
         raise ValueError(f"need v_0..v_{N}, have only {v.order + 1} entries")
-    zero = v.ring.zero
-    out = [v.values[0]]
-    for n in range(1, N + 1):
-        acc = zero
-        for m in range(1, n + 1):
-            acc = acc + math.comb(n - 1, m - 1) * _ipow(n, n - m) * v.values[m]
-        out.append(acc)
-    return CoeffSeq("u", v.ring, tuple(out))
+    return _transform(v, N, "u",
+                      lambda n, m: math.comb(n - 1, m - 1) * _ipow(n, n - m))
 
 
 def compose_oracle(u: CoeffSeq, N: int | None = None) -> CoeffSeq:

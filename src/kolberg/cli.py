@@ -96,10 +96,6 @@ def _common_flags(parser, root: bool):
                         help="machine-readable JSON on stdout")
     parser.add_argument("--prec", type=int, default=default(256),
                         metavar="BITS", help="working precision in bits")
-    parser.add_argument("--threads", type=int, default=default(1),
-                        metavar="N",
-                        help="reserved; evaluation is single-threaded and "
-                             "output never depends on this flag")
 
 
 def build_parser() -> argparse.ArgumentParser:

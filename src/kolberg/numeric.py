@@ -385,6 +385,24 @@ def _log2(fr: Fraction) -> float:
     return math.log2(fr.numerator) - math.log2(fr.denominator)
 
 
+def _mantissa_exponent(fr: Fraction) -> tuple[int, int]:
+    """(m, e) with fr = m * 2^-e, for a dyadic rational fr."""
+    return fr.numerator, fr.denominator.bit_length() - 1
+
+
+def _dyadic_up_step(m: int, e: int, bits: int = 64) -> tuple[int, int]:
+    """_dyadic_up(m * 2^-e, bits) for m > 0, as a pair (m', e').
+
+    _dyadic_up scales by 2^shift, shift = bits - (bitlen(num) -
+    bitlen(den)), and rounds up; for m * 2^-e that difference is
+    bitlen(m) - e - 1 whatever the reduced form, so the result is
+    ceil(m * 2^(shift - e)) * 2^-shift.
+    """
+    shift = bits - (m.bit_length() - e - 1)
+    s = shift - e
+    return (m << s if s >= 0 else -(-m >> -s)), shift
+
+
 def _series_order(n_start: int, K0: Fraction, delta: int, q: Fraction,
                   bound_from: int, tol_half: Fraction):
     """Smallest N whose certified tail is below tol_half, and that tail.
@@ -402,13 +420,17 @@ def _series_order(n_start: int, K0: Fraction, delta: int, q: Fraction,
     # cannot pass and is skipped.
     log2_K0 = _log2(K0) if K0 > 0 else -math.inf
     log2_q, log2_goal = _log2(q), _log2(tol_half) + 1
+    # q and q_pow >= q^(N+1) are dyadic, m * 2^-e; the step rounds up
+    # exactly as _dyadic_up does, on integers
+    qm, qe = _mantissa_exponent(q)
+    pm, pe = _mantissa_exponent(_dyadic_up(q ** n_start))
     N = n_start - 1
-    q_pow = _dyadic_up(q ** n_start)
     while True:
         N += 1
-        q_pow = _dyadic_up(q_pow * q)
+        pm, pe = _dyadic_up_step(pm * qm, pe + qe)
         log2_floor = log2_K0 + delta * math.log2(N + 1) + (N + 1) * log2_q
         if N >= bound_from and N >= 1 and log2_floor <= log2_goal:
+            q_pow = Fraction(pm, 1 << pe) if pe >= 0 else Fraction(pm << -pe)
             tail = _tail_after(K0, delta, q, N, q_pow)
             if tail is not None and tail <= tol_half:
                 return N, tail

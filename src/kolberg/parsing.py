@@ -11,6 +11,14 @@ Grammar (UTF-8 text):
 A rational literal and a quotient of integer literals denote the same
 value, so the tokenizer only knows integers and '/' is always division.
 Exponents are integer literals, optionally negative.
+
+Limits (each violation is a ParseError, exit code 2 in the CLI):
+    MAX_NESTING     parentheses and unary minus nest at most this deep;
+    MAX_DIGITS      an integer literal has at most this many digits;
+    MAX_EXPONENT    an exponent has absolute value at most this;
+    MAX_POWER_SIZE  |exponent| times the size of the base (degree plus
+                    coefficient bits) is at most this, which bounds
+                    nested powers such as ((y^1000)^1000)^1000.
 """
 
 from __future__ import annotations
@@ -21,9 +29,14 @@ from fractions import Fraction
 from .rational import (
     QN, QQ, QS, QT, QY, QYT,
     DomainError, FractionField, RatFunc, UniPoly, format_element,
+    _QY_POLY, _clear_y_denominators, _lift,
 )
 
 VARIABLES = frozenset("ytsnx")
+MAX_NESTING = 100
+MAX_DIGITS = 4300          # int's default str-digit limit since 3.11
+MAX_EXPONENT = 1000
+MAX_POWER_SIZE = 100_000
 
 
 class ParseError(ValueError):
@@ -100,6 +113,9 @@ class _Tokenizer:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
+        if self.pos - start > MAX_DIGITS:
+            raise ParseError(
+                f"integer literal longer than {MAX_DIGITS} digits", pos)
         return sign * int(self.text[start:self.pos]), pos
 
 
@@ -107,6 +123,7 @@ class _Parser:
     def __init__(self, text: str, variables):
         self.toks = _Tokenizer(text)
         self.variables = frozenset(variables)
+        self.depth = 0
 
     def parse(self):
         node = self.expr()
@@ -140,7 +157,10 @@ class _Parser:
         ch, pos = self.toks.peek()
         if ch == "^":
             self.toks.take()
-            k, _ = self.toks.take_integer()
+            k, kpos = self.toks.take_integer()
+            if abs(k) > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {k} beyond the limit of {MAX_EXPONENT}", kpos)
             node = Pow(node, k, pos)
         return node
 
@@ -148,16 +168,21 @@ class _Parser:
         ch, pos = self.toks.peek()
         if ch is None:
             raise ParseError("unexpected end of input", pos)
-        if ch == "-":
+        if ch in "-(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"nesting deeper than the limit of {MAX_NESTING}", pos)
             self.toks.take()
-            return Neg(self.base(), pos)
-        if ch == "(":
-            self.toks.take()
-            node = self.expr()
-            ch2, pos2 = self.toks.peek()
-            if ch2 != ")":
-                raise ParseError("expected ')'", pos2)
-            self.toks.take()
+            if ch == "-":
+                node = Neg(self.base(), pos)
+            else:
+                node = self.expr()
+                ch2, pos2 = self.toks.peek()
+                if ch2 != ")":
+                    raise ParseError("expected ')'", pos2)
+                self.toks.take()
+            self.depth -= 1
             return node
         if ch.isdigit():
             value, pos = self.toks.take_integer()
@@ -180,42 +205,117 @@ def parse_expr(text: str, variables=VARIABLES) -> Expression:
     return _Parser(text, variables).parse()
 
 
+def _pair_ring(field):
+    """How lowering represents field: (constant, as_pair, finish).
+
+    Values are pairs (numerator, denominator) of polynomials: in Q[var]
+    for Q(var), in Q[y][t] for Q(y)(t), plain rationals for Q.
+    constant(c) is c as a polynomial, as_pair(v) writes a field element
+    as a pair and finish(num, den) builds the one field element.
+    """
+    if field is QQ:
+        return (lambda c: c), (lambda v: (v, Fraction(1))), \
+            (lambda n, d: n / d)
+    inner = field.coeff_field
+    if inner is QQ:
+        return (lambda c: UniPoly(QQ, field.var, [c])), \
+            (lambda v: (v.num, v.den)), RatFunc
+
+    def finish(n, d):
+        return RatFunc(_lift(inner, field.var, n.coeffs),
+                       _lift(inner, field.var, d.coeffs))
+
+    return (lambda c: UniPoly(_QY_POLY, field.var, [c])), \
+        _clear_y_denominators, finish
+
+
+def _size(value) -> int:
+    """Degree plus coefficient bits: a bound on what a power multiplies."""
+    if isinstance(value, Fraction):
+        return value.numerator.bit_length() + value.denominator.bit_length()
+    return len(value.coeffs) + max(map(_size, value.coeffs), default=0)
+
+
 def lower(node: Expression, field, env: dict):
     """Evaluate an expression tree inside a field.
 
-    env maps variable names to field elements.  Division by a zero
-    polynomial is a parse-level failure, mirroring '1/0'.
+    env maps variable names to field elements.  The tree is evaluated on
+    (numerator, denominator) pairs of polynomials, without any gcd, and
+    one field element is built at the end.  Division by a zero
+    polynomial is a parse-level failure, mirroring '1/0'.  The walk uses
+    an explicit stack, so long sums and products need no recursion.
     """
-    if isinstance(node, Num):
-        return field.coerce(node.value)
-    if isinstance(node, Var):
-        if node.name not in env:
-            raise ParseError(
-                f"variable {node.name!r} has no meaning in {field.name}",
-                node.pos)
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -lower(node.child, field, env)
-    if isinstance(node, Pow):
-        base = lower(node.base, field, env)
-        try:
-            return base ** node.exponent
-        except ZeroDivisionError:
-            raise ParseError("zero raised to a negative power", node.pos)
-    if isinstance(node, Bin):
-        a = lower(node.left, field, env)
-        b = lower(node.right, field, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        try:
-            return a / b
-        except ZeroDivisionError:
-            raise ParseError("division by the zero polynomial", node.pos)
-    raise TypeError(f"not an expression node: {node!r}")
+    constant, as_pair, finish = _pair_ring(field)
+    pairs = {name: as_pair(value) for name, value in env.items()}
+    one = constant(Fraction(1))
+    values = []
+    todo = [(node, False)]
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Num):
+            values.append((constant(node.value), one))
+        elif isinstance(node, Var):
+            if node.name not in pairs:
+                raise ParseError(
+                    f"variable {node.name!r} has no meaning in {field.name}",
+                    node.pos)
+            values.append(pairs[node.name])
+        elif not ready:
+            todo.append((node, True))
+            if isinstance(node, Bin):
+                todo += [(node.right, False), (node.left, False)]
+            elif isinstance(node, Neg):
+                todo.append((node.child, False))
+            elif isinstance(node, Pow):
+                todo.append((node.base, False))
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+        elif isinstance(node, Neg):
+            n, d = values.pop()
+            values.append((-n, d))
+        elif isinstance(node, Pow):
+            values.append(_power(values.pop(), node))
+        else:
+            nb, db = values.pop()
+            na, da = values.pop()
+            if node.op in "+-":
+                if node.op == "-":
+                    nb = -nb
+                if da == db:
+                    values.append((na + nb, da))
+                else:
+                    values.append((_times(na, db, one) + _times(nb, da, one),
+                                   _times(da, db, one)))
+            elif node.op == "*":
+                values.append((na * nb, _times(da, db, one)))
+            elif not nb:
+                raise ParseError("division by the zero polynomial", node.pos)
+            else:
+                values.append((_times(na, db, one), _times(da, nb, one)))
+    return finish(*values.pop())
+
+
+def _times(a, b, one):
+    """a * b, without a multiplication when a factor is one."""
+    if b == one:
+        return a
+    if a == one:
+        return b
+    return a * b
+
+
+def _power(pair, node: Pow):
+    n, d = pair
+    k = node.exponent
+    if abs(k) * max(_size(n), _size(d)) > MAX_POWER_SIZE:
+        raise ParseError(
+            f"power too large (limit {MAX_POWER_SIZE} for |exponent| "
+            "times degree plus coefficient bits)", node.pos)
+    if k >= 0:
+        return n ** k, d ** k
+    if not n:
+        raise ParseError("zero raised to a negative power", node.pos)
+    return d ** -k, n ** -k
 
 
 def _env_for(field) -> dict:

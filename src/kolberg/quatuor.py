@@ -23,9 +23,10 @@ from fractions import Fraction
 from .assoc import CoeffSeq, from_associated
 from .parsing import parse_qyt, print_canonical
 from .rational import (
-    QQ, QY, QYT,
+    QQ, QT, QY, QYT,
     DomainError, PoleError, RatFunc, UniPoly,
     rational_roots, substitute_y,
+    _from_integers, _int_product, _int_sum, _integer_numerators,
 )
 
 Y = QYT.coerce(QY.gen)
@@ -61,10 +62,14 @@ class AdHocFunction:
         return f"t^y * ({print_canonical(self.R)})"
 
 
+def _level_below(R: RatFunc) -> RatFunc:
+    """R_k from R_{k+1}: the neighbor relation (y*R + t*R')/(1 - t)."""
+    return (Y * R + T * R.diff()) / (1 - T)
+
+
 def step_down(F: AdHocFunction) -> AdHocFunction:
     """Level k from level k+1 via the derivative relation."""
-    R = F.R
-    S = (Y * R + T * R.diff()) / (1 - T)
+    S = _level_below(F.R)
     assert not S.is_zero
     return AdHocFunction(S)
 
@@ -142,7 +147,7 @@ def step_up(F: AdHocFunction) -> AdHocFunction:
                    f"unmatched right-hand side {print_canonical(residual)}")
         raise InfertileError(witness)
     S = RatFunc(UniPoly(QY, "t", sol), D)
-    if (Y * S + T * S.diff()) != W:
+    if _level_below(S) != R:
         raise InfertileError("candidate solution fails the back-check")
     return AdHocFunction(S)
 
@@ -179,9 +184,7 @@ class Quatuor:
         if not k_min <= generator_level <= k_max:
             raise ValueError("generator level outside the stored range")
         for i in range(len(functions) - 1):
-            upper = functions[i + 1].R
-            expect = (Y * upper + T * upper.diff()) / (1 - T)
-            if functions[i].R != expect:
+            if functions[i].R != _level_below(functions[i + 1].R):
                 raise VerificationError(
                     f"levels {k_min + i} and {k_min + i + 1} do not satisfy "
                     "the neighbor relation")
@@ -283,37 +286,51 @@ def taylor_series(R: RatFunc, N: int, mu) -> list:
     """Coefficients c_0..c_N of R(t) * e^{mu*t} around t = 0.
 
     Generic over the coefficient ring of R (Q or Q(y)); mu must live in
-    that ring.  The denominator is inverted as a power series, which
-    needs D(0) != 0.
+    that ring.  The work runs fraction-free on integer polynomials in y
+    (integers, over Q).  The denominators of the numerator and of the
+    denominator of R are cleared separately, R = (b/a) * P(t)/Q(t), and
+    mu = m/q; the coefficients of Q * (P/Q) e^{mu t} = P e^{mu t} give
+
+        c_k = b S_k / (a Q_0^(k+1) q^k k!),
+        S_k = Q_0^k sum_{i>=0} P_i m^(k-i) q^i k!/(k-i)!
+              - sum_{i>=1} Q_i S_(k-i) Q_0^(i-1) q^i k!/(k-i)!,
+
+    which needs Q_0 = Q(0) != 0.  Each c_k is normalised once.
     """
     ring = R.num.field
     num, den = R.num, R.den
-    d0 = den.coeff(0)
-    if d0 == ring.zero:
+    if den.coeff(0) == ring.zero:
         raise PoleError(f"pole at {R.var} = 0: denominator {den}")
-    inv_d0 = ring.one / d0
-    inv = [inv_d0]
-    for k in range(1, N + 1):
-        acc = ring.zero
-        for i in range(1, min(k, den.degree) + 1):
-            acc = acc + den.coeff(i) * inv[k - i]
-        inv.append(-acc * inv_d0)
-    r_ser = []
-    for k in range(N + 1):
-        acc = ring.zero
-        for i in range(0, min(k, num.degree) + 1):
-            acc = acc + num.coeff(i) * inv[k - i]
-        r_ser.append(acc)
     mu = ring.coerce(mu)
-    exp_ser = [ring.one]
-    for j in range(1, N + 1):
-        exp_ser.append(exp_ser[-1] * mu * Fraction(1, j))
+    P, a = _integer_numerators(ring, num.coeffs)
+    Q, b = _integer_numerators(ring, den.coeffs)
+    (m,), q = _integer_numerators(ring, [mu])
+    mul = _int_product
+    width = max(len(P), len(Q))
+    m_pow, q_pow, Q0_pow = [[1]], [[1]], [[1]]
+    for _ in range(N):
+        m_pow.append(mul(m_pow[-1], m))
+    for _ in range(min(N, width)):
+        q_pow.append(mul(q_pow[-1], q))
+    S = []
     out = []
-    for n in range(N + 1):
-        acc = ring.zero
-        for j in range(n + 1):
-            acc = acc + r_ser[n - j] * exp_ser[j]
-        out.append(acc)
+    d_k = mul(a, Q[0])              # a Q_0^(k+1) q^k k!
+    for k in range(N + 1):
+        if k > 0:
+            Q0_pow.append(mul(Q0_pow[-1], Q[0]))
+            d_k = [c * k for c in mul(mul(d_k, Q[0]), q)]
+        ff = 1                      # k!/(k-i)!
+        head, tail = [], []
+        for i in range(min(k, width - 1) + 1):
+            if i < len(P):
+                head = _int_sum(head, [c * ff for c in mul(
+                    mul(P[i], m_pow[k - i]), q_pow[i])])
+            if 1 <= i < len(Q):
+                tail = _int_sum(tail, [c * ff for c in mul(mul(
+                    mul(Q[i], S[k - i]), Q0_pow[i - 1]), q_pow[i])])
+            ff *= k - i
+        S.append(_int_sum(mul(Q0_pow[k], head), [-c for c in tail]))
+        out.append(_from_integers(ring, mul(b, S[k]), d_k))
     return out
 
 
@@ -407,7 +424,6 @@ def kolbergize(q: Quatuor, A: dict[int, Fraction], r) -> KolbergizeResult:
     if r in ps.rational_poles:
         bad = next(d for d in ps.denominators if d.eval(r) == 0)
         raise PoleError(f"y = {r} is a pole: root of denominator {bad}")
-    from .rational import QT
     acc = QT.zero
     for k in support:
         acc = acc + QQ.coerce(A[k]) * substitute_y(q.level(k).R, r)

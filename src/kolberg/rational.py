@@ -5,6 +5,18 @@ denominator are gcd-reduced and the denominator is monic, so equality
 is structural.  The same two classes (UniPoly, RatFunc) serve every
 layer; a field descriptor object names the coefficient field of each
 polynomial layer.
+
+Canonical form is restored in one place, RatFunc.__init__, which runs
+the gcd.  Results that are canonical by construction skip it through
+RatFunc._reduced: negation, powers (gcd(n, d) = 1 implies
+gcd(n^k, d^k) = 1) and products with a nonzero constant.  Linear and
+series work (the associated-series transforms, Taylor series, the
+parser) does not add or multiply field elements term by term: it
+writes its inputs as numerators over one common denominator
+(_common_denominator, into Q[y]; _integer_numerators, on to integer
+coefficients), works on those, and builds each output value once.
+The parser and the printer hold Q(y)(t) elements as polynomials in
+Q[y][t], over the coefficient ring _QY_POLY.
 """
 
 from __future__ import annotations
@@ -100,8 +112,14 @@ class UniPoly:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return self._same([self.coeff(i) + o.coeff(i) for i in range(n)])
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            if c:
+                out[i] = out[i] + c
+        return self._same(out)
 
     __radd__ = __add__
 
@@ -123,12 +141,14 @@ class UniPoly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return self._same([])
+        if self.field is QQ:
+            return self._same(_qq_product(self.coeffs, o.coeffs))
         out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(o.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == self.field.zero:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
+            if a:
+                for j, b in nonzero:
+                    out[i + j] = out[i + j] + a * b
         return self._same(out)
 
     __rmul__ = __mul__
@@ -213,6 +233,42 @@ class UniPoly:
         return f"UniPoly({self.field.name}[{self.var}]: {format_element(self)})"
 
 
+def _int_product(a: list, b: list) -> list:
+    """Product of two polynomials given as integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _int_sum(a: list, b: list) -> list:
+    """Sum of two polynomials given as integer coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def _qq_product(a, b) -> list:
+    """Coefficients of the product of two polynomials over Q.
+
+    Each factor is written as integers over one denominator, so the
+    convolution runs on ints and each output coefficient is one Fraction.
+    """
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    A = [c.numerator * (da // c.denominator) for c in a]
+    B = [c.numerator * (db // c.denominator) for c in b]
+    d = da * db
+    return [Fraction(c, d) for c in _int_product(A, B)]
+
+
 def _gcd_scale(p: UniPoly) -> UniPoly:
     """Rescale by a unit so remainder-sequence coefficients stay small.
 
@@ -295,9 +351,7 @@ def _fracfield_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         u, v = v, u
     while v:
         u, v = v, _primitive_list(_pseudo_rem(u, v))
-    one = _one_poly(field.coeff_field, field.var)
-    lifted = UniPoly(field, a.var, [RatFunc(c, one) for c in u])
-    return lifted.monic()
+    return _lift(field, a.var, u).monic()
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -341,6 +395,18 @@ class RatFunc:
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num: UniPoly, den: UniPoly) -> "RatFunc":
+        """A RatFunc from a pair already in canonical form, without a gcd.
+
+        The caller guarantees gcd(num, den) = 1, den monic, and den = 1
+        when num is zero.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
@@ -389,7 +455,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce_operand(other)
@@ -404,6 +470,15 @@ class RatFunc:
         o = self._coerce_operand(other)
         if o is None:
             return NotImplemented
+        for c, f in ((o, self), (self, o)):
+            if c.num.degree <= 0 and c.den.degree == 0:
+                # c is a constant (its monic denominator is 1), a unit
+                # unless zero, so scaling f.num keeps f canonical
+                if c.is_zero:
+                    return c
+                k = c.num.coeffs[0]
+                return RatFunc._reduced(
+                    f.num._same([a * k for a in f.num.coeffs]), f.den)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -423,24 +498,20 @@ class RatFunc:
         return o / self
 
     def __pow__(self, k):
+        """num^k / den^k: coprime and monic again, so no gcd runs."""
         if not isinstance(k, int):
             raise ValueError("RatFunc power needs an integer exponent")
-        if k < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("zero to a negative power")
-            return RatFunc(self.den, self.num) ** (-k)
-        if k == 0:
-            return RatFunc(_one_poly(self.num.field, self.var),
-                           _one_poly(self.num.field, self.var))
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        if k >= 0:
+            return RatFunc._reduced(self.num ** k, self.den ** k)
+        if self.is_zero:
+            raise ZeroDivisionError("zero to a negative power")
+        # den^j / num^j with both divided by lead(num)^j, which makes the
+        # new denominator monic
+        j = -k
+        lead = self.num.leading ** j
+        num = self.den ** j
+        return RatFunc._reduced(num._same([c / lead for c in num.coeffs]),
+                                self.num.monic() ** j)
 
     def diff(self):
         """Formal derivative in this layer's variable (quotient rule)."""
@@ -529,6 +600,96 @@ QS = FractionField(QQ, "s")     # Q(s)
 QN = FractionField(QQ, "n")     # Q(n)
 
 
+class _PolyRing:
+    """Q[var], the polynomials under Q(var), as a coefficient ring.
+
+    Elements are UniPoly over Q.  UniPoly over this ring is Q[y][t]: the
+    printer writes Q(y)(t) elements from it and the parser lowers into
+    it; _common_denominator clears Q(y) values into Q[y].
+    """
+
+    def __init__(self, var):
+        self.var = var
+        self.name = f"Q[{var}]"
+        self.zero = UniPoly(QQ, var, [])
+        self.one = UniPoly(QQ, var, [Fraction(1)])
+
+    def coerce(self, value):
+        if self.is_element(value):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return UniPoly(QQ, self.var, [Fraction(value)])
+        raise TypeError(f"cannot coerce {value!r} into {self.name}")
+
+    def is_element(self, value):
+        return (isinstance(value, UniPoly) and value.var == self.var
+                and value.field is QQ)
+
+
+_QY_POLY = _PolyRing("y")     # Q[y]
+
+
+def _common_denominator(ring, values):
+    """Numerators over one common denominator of elements of Q or Q(var).
+
+    Returns (nums, den) with values[i] = nums[i] / den: over Q the nums
+    are ints and den is the lcm of the denominators; over Q(var) the
+    nums are polynomials in Q[var] and den is the monic lcm of the
+    denominators.  No value is normalised.
+    """
+    if isinstance(ring, RationalField):
+        den = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+    den = _one_poly(QQ, ring.var)
+    seen = set()
+    for v in values:
+        d = v.den
+        if d.degree > 0 and d not in seen:
+            seen.add(d)
+            den = d if den.degree == 0 else poly_lcm(den, d)
+    quotients = {}
+    nums = []
+    for v in values:
+        q = quotients.get(v.den)
+        if q is None:
+            q = quotients[v.den] = den.exact_div(v.den)
+        nums.append(v.num * q)
+    return nums, den
+
+
+def _integer_numerators(ring, values):
+    """values[i] = nums[i] / den with integer coefficient lists.
+
+    Over Q(var) the lists are coefficients in var (lowest first); over Q
+    each list has one entry.  Built on _common_denominator; nothing is
+    normalised.
+    """
+    nums, den = _common_denominator(ring, values)
+    if isinstance(ring, RationalField):
+        return [[n] for n in nums], [den]
+    scale = math.lcm(*(c.denominator for p in nums + [den]
+                       for c in p.coeffs))
+    return ([[c.numerator * (scale // c.denominator) for c in p.coeffs]
+             for p in nums],
+            [c.numerator * (scale // c.denominator) for c in den.coeffs])
+
+
+def _from_integers(ring, num: list, den: list):
+    """num / den for integer coefficient lists as one element of ring.
+
+    This is where the kernels' outputs are normalised, once each.
+    """
+    if isinstance(ring, RationalField):
+        return Fraction(num[0] if num else 0, den[0])
+    return RatFunc(UniPoly(QQ, ring.var, num), UniPoly(QQ, ring.var, den))
+
+
+def _lift(field, var, coeffs) -> UniPoly:
+    """The polynomial in var with coefficients in Q[field.var], over field."""
+    one = _one_poly(QQ, field.var)
+    return UniPoly(field, var, [RatFunc._reduced(c, one) for c in coeffs])
+
+
 def substitute_y(R: RatFunc, r: Fraction) -> RatFunc:
     """Specialize y := r in an element of Q(y)(t), landing in Q(t).
 
@@ -547,11 +708,6 @@ def substitute_y(R: RatFunc, r: Fraction) -> RatFunc:
     num = UniPoly(QQ, "t", [at_r(c) for c in R.num.coeffs])
     den = UniPoly(QQ, "t", [at_r(c) for c in R.den.coeffs])
     return RatFunc(num, den)
-
-
-def lift_y_to_t(c: RatFunc) -> RatFunc:
-    """Embed an element of Q(y) as a constant of Q(y)(t)."""
-    return QYT.coerce(c)
 
 
 def _divisors(n: int) -> list[int]:
@@ -677,41 +833,10 @@ def _needs_parens_den(s: str) -> bool:
 
 def _clear_y_denominators(R: RatFunc):
     """Rewrite N(t)/D(t) over Q(y) as bivariate polys over Q via an lcm."""
-    field_y = R.num.field.coeff_field  # UniPoly layer: coefficients in Q(y)
-    lcm = UniPoly(field_y, "y", [Fraction(1)])
-    for side in (R.num, R.den):
-        for c in side.coeffs:
-            lcm = poly_lcm(lcm, c.den)
-
-    def cleared(side: UniPoly) -> UniPoly:
-        coeffs = [c.num * lcm.exact_div(c.den) for c in side.coeffs]
-        return UniPoly(_POLY_Y_FIELD, side.var, coeffs)
-
-    return cleared(R.num), cleared(R.den)
-
-
-class _PolyCoeffField:
-    """Internal: Q[y] viewed as a coefficient ring for printing only."""
-
-    name = "Q[y]"
-    var = "y"
-
-    def __init__(self):
-        self.zero = UniPoly(QQ, "y", [])
-        self.one = UniPoly(QQ, "y", [Fraction(1)])
-
-    def coerce(self, value):
-        if isinstance(value, UniPoly) and value.var == "y" and value.field is QQ:
-            return value
-        if isinstance(value, (int, Fraction)):
-            return UniPoly(QQ, "y", [Fraction(value)])
-        raise TypeError(f"cannot coerce {value!r} into Q[y]")
-
-    def is_element(self, value):
-        return isinstance(value, UniPoly) and value.var == "y" and value.field is QQ
-
-
-_POLY_Y_FIELD = _PolyCoeffField()
+    n = len(R.num.coeffs)
+    nums, _ = _common_denominator(QY, R.num.coeffs + R.den.coeffs)
+    return (UniPoly(_QY_POLY, R.var, nums[:n]),
+            UniPoly(_QY_POLY, R.var, nums[n:]))
 
 
 def format_element(obj) -> str:
@@ -721,7 +846,7 @@ def format_element(obj) -> str:
     if isinstance(obj, UniPoly):
         if isinstance(obj.field, RationalField):
             return _join_monos(_univar_monos(obj))
-        if isinstance(obj.field, _PolyCoeffField):
+        if isinstance(obj.field, _PolyRing):
             return _join_monos(_bivar_monos(obj, "y"))
         return format_element(RatFunc(obj, _one_poly(obj.field, obj.var)))
     if not isinstance(obj, RatFunc):

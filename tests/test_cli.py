@@ -1,6 +1,10 @@
 """Exit codes, output shapes, and byte-stable JSON for the front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,34 @@ class TestExitCodes:
                     "--prec", "64"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("domain error:") and "term cap" in err
+
+
+class TestParseLimits:
+    """Nesting depth and power size are bounded: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("expr", [
+        "(" * 3000 + "s" + ")" * 3000,
+        "-" * 3000 + "s",
+        "s^100000000",
+        "((((s^1000)^1000)^1000)^1000)",
+    ], ids=["parentheses", "unary-minus", "exponent", "nested-powers"])
+    def test_exit_2_without_traceback(self, expr):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kolberg.cli", "eset", f"--g={expr}"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_long_literal_has_a_position(self, capsys):
+        assert run(["eset", "--g=s + " + "1" * 5000]) == 2
+        assert "(at position 4)" in capsys.readouterr().err
+
+    def test_within_limits(self, capsys):
+        assert run(["eset", "--g", "(" * 50 + "s^-1000" + ")" * 50]) == 0
+        assert capsys.readouterr().out.strip() == "E = {1000}"
 
 
 class TestAssoc:

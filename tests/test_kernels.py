@@ -1,0 +1,228 @@
+"""The fraction-free kernels against the per-term loops they replace.
+
+The transforms, the Taylor series and the tail-order search each run on
+numerators over one common denominator (or on integer mantissas).  The
+loops below are the straightforward versions, which add and multiply
+field elements term by term; they are kept here as references only.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from kolberg import (
+    QQ, QY,
+    CoeffSeq, DomainError, PoleError, RatFunc, SeriesSpec, UniPoly,
+    from_associated, generate_range, parse_qt, parse_qy, parse_qyt,
+    substitute_y, taylor_series, to_associated,
+)
+from kolberg import numeric
+from kolberg.cli import run
+
+
+def _ipow(base, exp):
+    return 1 if exp == 0 else base ** exp
+
+
+def reference_to_associated(u: CoeffSeq) -> CoeffSeq:
+    out = [u.values[0]]
+    for n in range(1, u.order + 1):
+        acc = u.ring.zero
+        for m in range(1, n + 1):
+            acc = acc + math.comb(n, m) * _ipow(-m, n - m) * u.values[m]
+        out.append(acc)
+    return CoeffSeq("v", u.ring, tuple(out))
+
+
+def reference_from_associated(v: CoeffSeq) -> CoeffSeq:
+    out = [v.values[0]]
+    for n in range(1, v.order + 1):
+        acc = v.ring.zero
+        for m in range(1, n + 1):
+            acc = acc + math.comb(n - 1, m - 1) * _ipow(n, n - m) * v.values[m]
+        out.append(acc)
+    return CoeffSeq("u", v.ring, tuple(out))
+
+
+def reference_taylor_series(R: RatFunc, N: int, mu) -> list:
+    ring = R.num.field
+    num, den = R.num, R.den
+    inv_d0 = ring.one / den.coeff(0)
+    inv = [inv_d0]
+    for k in range(1, N + 1):
+        acc = ring.zero
+        for i in range(1, min(k, den.degree) + 1):
+            acc = acc + den.coeff(i) * inv[k - i]
+        inv.append(-acc * inv_d0)
+    r_ser = []
+    for k in range(N + 1):
+        acc = ring.zero
+        for i in range(0, min(k, num.degree) + 1):
+            acc = acc + num.coeff(i) * inv[k - i]
+        r_ser.append(acc)
+    mu = ring.coerce(mu)
+    exp_ser = [ring.one]
+    for j in range(1, N + 1):
+        exp_ser.append(exp_ser[-1] * mu * Fraction(1, j))
+    out = []
+    for n in range(N + 1):
+        acc = ring.zero
+        for j in range(n + 1):
+            acc = acc + r_ser[n - j] * exp_ser[j]
+        out.append(acc)
+    return out
+
+
+def reference_series_order(n_start, K0, delta, q, bound_from, tol_half):
+    """The tail-order search stepping q^(N+1) as exact Fractions, with an
+    exact tail test at every N (no floating-point skip)."""
+    q = numeric._dyadic_up(q)
+    N = n_start - 1
+    q_pow = numeric._dyadic_up(q ** n_start)
+    while True:
+        N += 1
+        q_pow = numeric._dyadic_up(q_pow * q)
+        if N >= bound_from and N >= 1:
+            tail = numeric._tail_after(K0, delta, q, N, q_pow)
+            if tail is not None and tail <= tol_half:
+                return N, tail
+        if N > numeric._TERM_CAP:
+            raise DomainError(
+                "series did not meet the tolerance within the term cap")
+
+
+def random_q(rng):
+    return Fraction(rng.randint(-999, 999), rng.randint(1, 60))
+
+
+def random_qy_poly(rng):
+    return RatFunc(
+        UniPoly(QQ, "y", [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(rng.randint(1, 3))]),
+        UniPoly(QQ, "y", [Fraction(1)]))
+
+
+def random_qy(rng):
+    den = [Fraction(rng.randint(1, 5)), Fraction(rng.randint(-3, 3))]
+    return random_qy_poly(rng) / RatFunc(UniPoly(QQ, "y", den),
+                                         UniPoly(QQ, "y", [Fraction(1)]))
+
+
+class TestTransforms:
+    @pytest.mark.parametrize("order", [0, 1, 7, 60])
+    def test_qq_matches_reference(self, order):
+        rng = random.Random(order)
+        values = tuple(random_q(rng) for _ in range(order + 1))
+        u, v = CoeffSeq("u", QQ, values), CoeffSeq("v", QQ, values)
+        assert to_associated(u) == reference_to_associated(u)
+        assert from_associated(v) == reference_from_associated(v)
+
+    def test_qy_polynomials_to_order_60(self):
+        rng = random.Random(60)
+        values = tuple(random_qy_poly(rng) for _ in range(61))
+        u, v = CoeffSeq("u", QY, values), CoeffSeq("v", QY, values)
+        assert to_associated(u) == reference_to_associated(u)
+        assert from_associated(v) == reference_from_associated(v)
+
+    def test_qy_rational_values(self):
+        rng = random.Random(12)
+        values = tuple(random_qy(rng) for _ in range(13))
+        u, v = CoeffSeq("u", QY, values), CoeffSeq("v", QY, values)
+        assert to_associated(u) == reference_to_associated(u)
+        assert from_associated(v) == reference_from_associated(v)
+
+    def test_zero_entries(self):
+        values = (QY.zero, parse_qy("1/y"), QY.zero, parse_qy("y/(y + 1)"))
+        v = CoeffSeq("v", QY, values)
+        assert from_associated(v) == reference_from_associated(v)
+
+
+class TestTaylorSeries:
+    @pytest.mark.parametrize("text, mu", [
+        ("1/(1 - t)", "0"),                      # D(0) a unit
+        ("(t^2 + 3*t - 1)/5", "-2/3"),           # constant in t
+        ("(t + 1)/(6*t^2 - 4*t + 2)", "5/2"),    # D with content
+        ("(3*t^3 - t)/((t - 2)^2*(t + 7))", "1/3"),
+    ])
+    def test_qq_to_order_60(self, text, mu):
+        R = parse_qt(text)
+        mu = Fraction(mu)
+        assert taylor_series(R, 60, mu) == reference_taylor_series(R, 60, mu)
+
+    @pytest.mark.parametrize("text, N", [
+        ("1 + 2/y + t^2", 60),                   # constant in t, mu = y
+        ("1/(t + y)", 30),                       # D(0) = y
+        ("(-t*y + y + 1)/(y^3 + y^2)", 40),      # Kolberg level 2
+        ("(t + y)/(y^2*(t^2 + 3*t + y))", 20),   # D(0) = y^3 after clearing
+        ("(t*y - t - y)/(2*(t - 1)^3)", 30),     # D(0) a unit
+    ])
+    def test_qy_mu_y(self, text, N):
+        R = parse_qyt(text)
+        assert taylor_series(R, N, QY.gen) \
+            == reference_taylor_series(R, N, QY.gen)
+
+    def test_qy_rational_mu(self):
+        R = parse_qyt("t/(2*y + 1) + 1/(t - y)")
+        mu = parse_qy("(y + 1)/(y - 3)")
+        assert taylor_series(R, 15, mu) == reference_taylor_series(R, 15, mu)
+
+    def test_specialized_levels(self):
+        q, _ = generate_range("1 + 2/y + t^2", 0, -2, 2)
+        for k in range(-2, 3):
+            for r in (Fraction(1, 2), Fraction(-7, 3)):
+                R = substitute_y(q.level(k).R, r)
+                assert taylor_series(R, 40, r) \
+                    == reference_taylor_series(R, 40, r)
+
+    def test_pole_at_zero(self):
+        with pytest.raises(PoleError):
+            taylor_series(parse_qyt("1/(t^2 + t*y)"), 4, QY.gen)
+
+
+class TestSeriesOrder:
+    def test_matches_fraction_loop(self):
+        rng = random.Random(314)
+        cases = []
+        for family in ("kolberg", "sharp", "example0"):
+            for _ in range(4):
+                x = Fraction(rng.randint(1, 36), 100) * rng.choice([1, -1])
+                r = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+                cases.append(SeriesSpec(family, x, a=rng.randint(0, 3), r=r))
+        for e in (-2, 0, 1):
+            cases.append(SeriesSpec(
+                "custom-H", Fraction(rng.randint(1, 30), 100),
+                supplier=lambda n, e=e: Fraction(n) ** (n + e),
+                bound_K=Fraction(1), bound_delta=e, bound_from=1))
+        for spec in cases:
+            _, n_start, K0, delta, q, bound_from = numeric._family_plan(spec)
+            for tol in ("1e-20", "1e-100", "1e-400"):
+                args = (n_start, K0, delta, q, bound_from,
+                        numeric.tol_fraction(tol) / 2)
+                assert numeric._series_order(*args) \
+                    == reference_series_order(*args), (spec, tol)
+
+    def test_term_cap(self):
+        spec = SeriesSpec("kolberg", Fraction(1, 3))
+        _, n_start, K0, delta, q, bound_from = numeric._family_plan(spec)
+        args = (n_start, K0, delta, q, bound_from,
+                numeric.tol_fraction("1e-5000") / 2)
+        for search in (numeric._series_order, reference_series_order):
+            with pytest.raises(DomainError, match="term cap"):
+                search(*args)
+
+
+class TestByteStable:
+    WITNESS = ("the linear system for the up-step is inconsistent; "
+               "unmatched right-hand side -1/8/(y + 3)")
+
+    def test_infertile_witness(self):
+        _, report = generate_range("1/(t-2)", 0, 0, 1)
+        assert report.failure_witness == self.WITNESS
+
+    def test_infertile_cli_message(self, capsys):
+        assert run(["quatuor", "gen", "--r0", "1/(t-2)", "--level", "0",
+                    "--range", "0:1"]) == 3
+        assert capsys.readouterr().err == (
+            "fertile on [0, 0]; infertile at level 1: " + self.WITNESS + "\n")

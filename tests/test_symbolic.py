@@ -165,6 +165,25 @@ class TestTower:
                 product = product * R
                 num_product = num_product * R.num
 
+    def test_pow_equals_repeated_product_t_degree_2(self):
+        # powers build num^k / den^k without a gcd; the products reduce
+        rng = random.Random(7)
+
+        def small_qy():
+            return RatFunc(P([rng.randint(-3, 3), rng.randint(1, 2)], var="y"),
+                           P([rng.randint(1, 3), rng.randint(0, 1)], var="y"))
+
+        for _ in range(3):
+            R = RatFunc(UniPoly(QY, "t", [small_qy() for _ in range(3)]),
+                        UniPoly(QY, "t", [small_qy() for _ in range(3)]))
+            product = QYT.one
+            for k in range(4):
+                assert R ** k == product, k
+                if k:
+                    assert R ** -k == 1 / product, -k
+                if k < 3:
+                    product = product * R
+
     def test_substitute_commutes_with_product(self):
         A = parse_qyt("(t + y)/(y + 1)")
         B = parse_qyt("(t^2 - y)/(t - 2)")
