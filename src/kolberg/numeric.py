@@ -32,6 +32,7 @@ Tail bounds use three facts, each elementary:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -50,6 +51,13 @@ from .rational import (
 GUARD_BITS = 32
 
 
+# mpmath's precision is global to the process; _working holds this lock
+# for its whole block so that concurrent callers run one at a time.  It is
+# reentrant because blocks nest in one thread (tree_t_interval inside
+# check_identity).
+_PRECISION_LOCK = threading.RLock()
+
+
 class _working:
     """Temporarily raise both mpmath contexts to precision + guard."""
 
@@ -59,6 +67,7 @@ class _working:
         self.prec = precision + GUARD_BITS
 
     def __enter__(self):
+        _PRECISION_LOCK.acquire()
         self._mp_old = mp.prec
         self._iv_old = iv.prec
         mp.prec = self.prec
@@ -68,6 +77,7 @@ class _working:
     def __exit__(self, *exc):
         mp.prec = self._mp_old
         iv.prec = self._iv_old
+        _PRECISION_LOCK.release()
         return False
 
 

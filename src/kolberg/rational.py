@@ -17,6 +17,17 @@ writes its inputs as numerators over one common denominator
 coefficients), works on those, and builds each output value once.
 The parser and the printer hold Q(y)(t) elements as polynomials in
 Q[y][t], over the coefficient ring _QY_POLY.
+
+Every gcd over Q[x] and Q(x)[t] (poly_gcd, poly_lcm, RatFunc.__init__)
+runs on integers: both operands are written over one common denominator
+as polynomials in Z[x] or Z[x][t], and the heuristic gcd of Char, Geddes
+and Gonnet evaluates them at a large integer xi (x = xi first, then t),
+takes one integer gcd and reads the polynomial gcd back from its balanced
+base-xi digits.  A candidate is kept only if exact integer division
+confirms it; the divisions also give the cofactors, which RatFunc uses
+directly.  When HEU_ATTEMPTS values of xi all fail, the Euclidean
+algorithm over Q and the primitive remainder sequence over Q(x)[t]
+(_reference_gcd) take over.
 """
 
 from __future__ import annotations
@@ -269,6 +280,228 @@ def _qq_product(a, b) -> list:
     return [Fraction(c, d) for c in _int_product(A, B)]
 
 
+# ---------------------------------------------------------------------------
+# Heuristic integer gcd (GCDHEU: Char, Geddes & Gonnet, "GCDHEU: heuristic
+# polynomial GCD algorithm based on integer GCD computation", 1984/1989).
+#
+# Polynomials are integer coefficient lists, lowest degree first, with a
+# nonzero last entry; Z[y][t] is a list (in t) of such lists (in y), [] for
+# a zero coefficient.  A gcd is accepted only after exact trial division,
+# and xi is kept above twice a root bound of one operand, which makes every
+# accepted answer the gcd (proof below); the kernels return None when
+# HEU_ATTEMPTS values of xi all fail, and the callers then fall back to the
+# Euclidean algorithm or the primitive remainder sequence.
+#
+# Why an accepted answer is right (univariate; f, g primitive).  Let
+# gamma = gcd(f(xi), g(xi)) and G = gcd(f, g).  If h divides f and g then
+# G = h k, and:
+#   * h = pp(P) with P(xi) = gamma and |coefficients of P| <= xi/2, so
+#     P = c h, |c| <= xi/2, and k(xi) divides c because G(xi) divides gamma;
+#   * h = f / P with P(xi) = f(xi)/gamma gives k(xi) gamma = G(xi), so
+#     k(xi) = +-1 (and likewise with g).
+# Every root a of k is a root of f and of g, so |a| < 2 + |p|//|lc p| <= xi/2
+# for p the one of f, g with the smaller bound, and |k(xi)| > (xi/2)^deg k;
+# both cases force deg k = 0, and k = +-1 since G and h are primitive.
+# With y = xi substituted in Z[y][t] the same argument runs on the
+# t-coefficients, given the univariate gcd gamma(t) of f(xi, t) and
+# g(xi, t) with its content, and t-degrees kept at xi; there k is found to
+# be an integer, a unit over Q(y).
+
+HEU_ATTEMPTS = 6
+
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _content(p: list) -> int:
+    return math.gcd(*p)
+
+
+def _digits(v: int, xi: int) -> list:
+    """The polynomial P with P(xi) = v and coefficients in (-xi/2, xi/2]."""
+    out = []
+    half = xi // 2
+    while v:
+        d = v % xi
+        if d > half:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
+    return out
+
+
+def _eval(p: list, xi: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = acc * xi + c
+    return acc
+
+
+def _xi_start(norm_f, lc_f, norm_g, lc_g) -> int:
+    """The first point: CGG's choice, raised above twice the root bound."""
+    b = 2 * min(norm_f, norm_g) + 29
+    return max(min(b, 99 * math.isqrt(b)),
+               2 * min(norm_f // abs(lc_f), norm_g // abs(lc_g)) + 4)
+
+
+def _xi_next(xi: int) -> int:
+    # CGG's growth factor: about 2.73 * xi^(5/4), which avoids repeating
+    # an unlucky ratio
+    return 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+
+
+def _zz_div(f: list, g: list):
+    """f / g in Z[x] when the division is exact, else None."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return None if f else []
+    r = list(f)
+    lc = g[-1]
+    q = [0] * (len(f) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + dg], lc)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for j in range(dg):
+                r[k + j] -= c * g[j]
+    return None if any(r[:dg]) else q
+
+
+def _confirm(f, g, values, lift, primitive, divide):
+    """(h, f/h, g/h) from values at xi, confirmed by exact division, or None.
+
+    values = (gamma, f(xi)/gamma, g(xi)/gamma) with gamma the gcd at xi;
+    lift reads a value back as a polynomial (balanced base-xi digits).  h
+    is tried as the primitive part of the lifted gamma, then as f or g
+    divided by its lifted cofactor.
+    """
+    gamma, fq, gq = values
+    h = primitive(lift(gamma))
+    a = divide(f, h)
+    if a is not None:
+        b = divide(g, h)
+        if b is not None:
+            return h, a, b
+    a = lift(fq)
+    h = divide(f, a)
+    if h is not None:
+        b = divide(g, h)
+        if b is not None:
+            return h, a, b
+    b = lift(gq)
+    h = divide(g, b)
+    if h is not None:
+        a = divide(f, h)
+        if a is not None:
+            return h, a, b
+    return None
+
+
+def _zz_primitive(p: list) -> list:
+    c = _content(p)
+    return [x // c for x in p]
+
+
+def _zz_heu(f: list, g: list):
+    """(h, f/h, g/h) for primitive f, g of degree >= 1, or None."""
+    xi = _xi_start(max(map(abs, f)), f[-1], max(map(abs, g)), g[-1])
+    for _ in range(HEU_ATTEMPTS):
+        fv, gv = _eval(f, xi), _eval(g, xi)
+        if fv and gv:
+            gamma = math.gcd(fv, gv)
+            res = _confirm(f, g, (gamma, fv // gamma, gv // gamma),
+                           lambda v: _digits(v, xi), _zz_primitive, _zz_div)
+            if res is not None:
+                return res
+        xi = _xi_next(xi)
+    return None
+
+
+def _zz_gcd(f: list, g: list):
+    """(h, f/h, g/h) with h = +-gcd(f, g) in Z[x], content included, or None.
+
+    f and g are nonzero.  None means the heuristic gave up.
+    """
+    cf, cg = _content(f), _content(g)
+    c = math.gcd(cf, cg)
+    if len(f) == 1 or len(g) == 1:
+        return [c], [x // c for x in f], [x // c for x in g]
+    res = _zz_heu([x // cf for x in f], [x // cg for x in g])
+    if res is None:
+        return None
+    h, a, b = res
+    return ([c * x for x in h], [cf // c * x for x in a],
+            [cg // c * x for x in b])
+
+
+def _zzy_div(f: list, g: list):
+    """f / g in Z[y][t] when the division is exact, else None."""
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return None if any(f) else []
+    r = [list(c) for c in f]
+    lc = g[-1]
+    q = [[] for _ in range(len(f) - dg)]
+    for k in range(len(q) - 1, -1, -1):
+        top = _trim(r[k + dg])
+        if not top:
+            continue
+        c = _zz_div(top, lc)
+        if c is None:
+            return None
+        q[k] = c
+        for j in range(dg):
+            if g[j]:
+                r[k + j] = _int_sum(r[k + j],
+                                    [-x for x in _int_product(c, g[j])])
+    return None if any(_trim(r[j]) for j in range(dg)) else q
+
+
+def _zzy_primitive(p: list) -> list:
+    c = math.gcd(*map(_content, p))
+    return [[x // c for x in row] for row in p]
+
+
+def _zzy_gcd(f: list, g: list):
+    """(h, f/h, g/h) for nonzero f, g in Z[y][t], or None.
+
+    h divides f and g in Z[y][t] and f/h, g/h are coprime in Q(y)[t], so
+    h is the gcd over Q(y)[t] up to a unit.  None means the heuristic gave
+    up.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [[1]], f, g
+    cf = math.gcd(*map(_content, f))
+    cg = math.gcd(*map(_content, g))
+    f = [[x // cf for x in row] for row in f]
+    g = [[x // cg for x in row] for row in g]
+    norm_f = max(abs(x) for row in f for x in row)
+    norm_g = max(abs(x) for row in g for x in row)
+    xi = _xi_start(norm_f, f[-1][-1], norm_g, g[-1][-1])
+    for _ in range(HEU_ATTEMPTS):
+        fv = [_eval(row, xi) for row in f]
+        gv = [_eval(row, xi) for row in g]
+        # a t-degree lost at y = xi would break the argument above
+        if fv[-1] and gv[-1]:
+            values = _zz_gcd(fv, gv)
+            if values is None:
+                return None
+            res = _confirm(f, g, values,
+                           lambda vs: [_digits(v, xi) for v in vs],
+                           _zzy_primitive, _zzy_div)
+            if res is not None:
+                h, a, b = res
+                return (h, [[cf * x for x in row] for row in a],
+                        [[cg * x for x in row] for row in b])
+        xi = _xi_next(xi)
+    return None
+
+
 def _gcd_scale(p: UniPoly) -> UniPoly:
     """Rescale by a unit so remainder-sequence coefficients stay small.
 
@@ -340,11 +573,8 @@ def _fracfield_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     field = a.field
 
     def clear(p):
-        den_l = p.coeffs[0].den
-        for c in p.coeffs[1:]:
-            den_l = poly_lcm(den_l, c.den)
-        return _primitive_list(
-            [c.num * den_l.exact_div(c.den) for c in p.coeffs])
+        rows, _ = _integer_numerators(field, p.coeffs)
+        return _primitive_list([UniPoly(QQ, field.var, r) for r in rows])
 
     u, v = clear(a), clear(b)
     if len(u) < len(v):
@@ -354,8 +584,12 @@ def _fracfield_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return _lift(field, a.var, u).monic()
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
+def _reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd without the heuristic; gcd(0, 0) = 0.
+
+    Over Q(x)[t] the primitive remainder sequence, otherwise the Euclidean
+    algorithm.  This is the fallback when the heuristic gives up.
+    """
     if (not a.is_zero and not b.is_zero
             and isinstance(a.field, FractionField)
             and isinstance(a.field.coeff_field, RationalField)):
@@ -367,10 +601,77 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
+def _gcd_parts(a: UniPoly, b: UniPoly):
+    """The heuristic gcd of nonzero a and b as integer data, or None.
+
+    Over Q, a and b are scaled by one common factor s to integer
+    coefficient lists; over Q(x) (the coefficients of Q(x)[t]), to
+    coefficients in Z[x].  Returns (h, a', b') from _zz_gcd or _zzy_gcd,
+    with s a = h a' and s b = h b'.  None when the field is neither or
+    the heuristic gave up.
+    """
+    n = len(a.coeffs)
+    field = a.field
+    if isinstance(field, RationalField):
+        nums, _ = _common_denominator(field, a.coeffs + b.coeffs)
+        return _zz_gcd(nums[:n], nums[n:])
+    if (isinstance(field, FractionField)
+            and isinstance(field.coeff_field, RationalField)):
+        rows, _ = _integer_numerators(field, a.coeffs + b.coeffs)
+        return _zzy_gcd(rows[:n], rows[n:])
+    return None
+
+
+def _rows_over(field, var, rows: list, lead) -> UniPoly:
+    """The polynomial over field with coefficients rows[i] / lead.
+
+    Over Q, rows and lead are integers; over Q(x), integer coefficient
+    lists in x.  Each coefficient is normalised once.
+    """
+    if isinstance(field, RationalField):
+        return UniPoly(field, var, [Fraction(r, lead) for r in rows])
+    return UniPoly(field, var, [_from_integers(field, r, lead) for r in rows])
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd; gcd(0, 0) = 0.
+
+    Over Q and Q(x) the heuristic integer kernel runs first, and
+    _reference_gcd when it gives up or for other coefficient fields.
+    """
+    parts = None if a.is_zero or b.is_zero else _gcd_parts(a, b)
+    if parts is None:
+        return _reference_gcd(a, b)
+    h = parts[0]
+    return _rows_over(a.field, a.var, h, h[-1])
+
+
 def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic lcm, a (b / gcd(a, b)); lcm with 0 is 0."""
     if a.is_zero or b.is_zero:
         return UniPoly(a.field, a.var, [])
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
+    parts = _gcd_parts(a, b)
+    if parts is None:
+        return (a * b).exact_div(_reference_gcd(a, b)).monic()
+    bq = parts[2]
+    return (a * _rows_over(b.field, b.var, bq, bq[-1])).monic()
+
+
+def _cancel(num: UniPoly, den: UniPoly):
+    """num / g and den / g for g = gcd(num, den), up to one common unit.
+
+    The heuristic's cofactors come divided by the leading coefficient of
+    den's cofactor, so the new den is monic and no division runs.
+    """
+    parts = _gcd_parts(num, den)
+    if parts is not None:
+        _, a, b = parts
+        return (_rows_over(num.field, num.var, a, b[-1]),
+                _rows_over(den.field, den.var, b, b[-1]))
+    g = _reference_gcd(num, den)
+    if g.degree > 0:
+        return num.exact_div(g), den.exact_div(g)
+    return num, den
 
 
 class RatFunc:
@@ -385,10 +686,7 @@ class RatFunc:
             den = UniPoly(num.field, num.var, [num.field.one])
         else:
             if num.degree > 0 and den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                num, den = _cancel(num, den)
             lead = den.leading
             if lead != den.field.one:
                 num = num._same([c / lead for c in num.coeffs])
@@ -723,11 +1021,21 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+# rational_roots enumerates the divisors of the lowest and the leading
+# coefficient by trial division up to their square roots; it refuses a
+# polynomial for which either square root exceeds this (about 1.5 s of
+# search at the limit).
+MAX_ROOT_SEARCH = 10 ** 7
+
+
 def rational_roots(p: UniPoly) -> set[Fraction]:
     """Exactly the rational roots of a nonzero polynomial over Q.
 
     Candidates come from divisor enumeration over the integer-cleared
     coefficients; each candidate is confirmed by exact evaluation.
+    Raises DomainError, before any search, when the square root of the
+    lowest nonzero or the leading cleared coefficient exceeds
+    MAX_ROOT_SEARCH.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
@@ -749,6 +1057,10 @@ def rational_roots(p: UniPoly) -> set[Fraction]:
     if len(ints) == 1:
         return roots
     a0, an = ints[0], ints[-1]
+    if max(abs(a0), abs(an)) > MAX_ROOT_SEARCH ** 2:
+        raise DomainError(
+            f"rational root search of {p} is too large: a coefficient "
+            f"exceeds {MAX_ROOT_SEARCH}^2 after clearing denominators")
     for num in _divisors(a0):
         for den in _divisors(an):
             if math.gcd(num, den) != 1:

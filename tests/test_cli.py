@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,24 @@ class TestExitCodes:
                     "--prec", "64"]) == 4
         err = capsys.readouterr().err
         assert err.startswith("domain error:") and "term cap" in err
+
+
+    def test_root_search_limit_is_4(self):
+        # the tail-parameter search needs the poles of the level; a pole
+        # near 1e20 used to enumerate divisors for longer than 20 s
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kolberg.cli", "verify", "identity",
+             "--r0", "1/(t - 100000000000000000039)", "--r", "1/2",
+             "--x", "1/10"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("domain error:")
+        assert "root search" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestParseLimits:

@@ -4,6 +4,9 @@ The transforms, the Taylor series and the tail-order search each run on
 numerators over one common denominator (or on integer mantissas).  The
 loops below are the straightforward versions, which add and multiply
 field elements term by term; they are kept here as references only.
+The heuristic integer gcd is checked against the fallback routines it
+runs in front of (the Euclidean algorithm and the primitive remainder
+sequence), with the heuristic switched off for the reference.
 """
 
 import math
@@ -16,9 +19,10 @@ from kolberg import (
     QQ, QY,
     CoeffSeq, DomainError, PoleError, RatFunc, SeriesSpec, UniPoly,
     from_associated, generate_range, parse_qt, parse_qy, parse_qyt,
-    substitute_y, taylor_series, to_associated,
+    poly_gcd, poly_lcm, print_canonical, substitute_y, taylor_series,
+    to_associated,
 )
-from kolberg import numeric
+from kolberg import numeric, rational
 from kolberg.cli import run
 
 
@@ -211,6 +215,109 @@ class TestSeriesOrder:
         for search in (numeric._series_order, reference_series_order):
             with pytest.raises(DomainError, match="term cap"):
                 search(*args)
+
+
+def q_poly(rng, deg, var="y"):
+    """A polynomial over Q of degree deg, either sign of leading term."""
+    cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(deg)]
+    lead = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+    return UniPoly(QQ, var, cs + [rng.choice([lead, -lead])])
+
+
+def qy_coeff(rng):
+    return RatFunc(q_poly(rng, rng.randint(0, 2)),
+                   q_poly(rng, rng.randint(0, 1)))
+
+
+def qyt_poly(rng, deg):
+    return UniPoly(QY, "t", [qy_coeff(rng) for _ in range(deg + 1)])
+
+
+def reference(monkeypatch, fn, *args):
+    """fn(*args) with the heuristic switched off (every gcd falls back)."""
+    with monkeypatch.context() as m:
+        m.setattr(rational, "HEU_ATTEMPTS", 0)
+        return fn(*args)
+
+
+class TestGcdKernel:
+    def test_zz_cofactors(self):
+        # content, sign and constant operands: h f' = f and h g' = g exactly
+        cases = [
+            ([-12, 6, 6], [4, 4]),             # 6(x - 1)(x + 2), 4(x + 1)
+            ([-12, 6, 6], [8, -8]),            # common factor 2(x - 1)
+            ([6, 0, -6], [-3, 0, 3]),          # -1 times each other
+            ([7], [14, 21]),                   # constant operand
+            ([0, 0, 5], [-10]),
+            ([2**70 + 1, 3], [2**70 + 1, 3]),  # equal, large coefficients
+        ]
+        gcds = []
+        for f, g in cases:
+            h, a, b = rational._zz_gcd(f, g)
+            assert rational._int_product(h, a) == f
+            assert rational._int_product(h, b) == g
+            gcds.append(h if h[-1] > 0 else [-x for x in h])
+        assert gcds == [[2], [-2, 2], [-3, 0, 3], [7], [5], [2**70 + 1, 3]]
+
+    def test_qq_against_euclid(self, monkeypatch):
+        rng = random.Random(41)
+        pairs = []
+        for _ in range(60):
+            h = q_poly(rng, rng.randint(0, 3))
+            pairs.append((h * q_poly(rng, rng.randint(0, 4)),
+                          h * q_poly(rng, rng.randint(0, 4))))     # planted
+            pairs.append((q_poly(rng, rng.randint(1, 5)),
+                          q_poly(rng, rng.randint(1, 5))))         # coprime
+        for f, g in pairs:
+            assert rational._gcd_parts(f, g) is not None
+            got = (poly_gcd(f, g), poly_lcm(f, g), RatFunc(f, g))
+            assert got == (reference(monkeypatch, poly_gcd, f, g),
+                           reference(monkeypatch, poly_lcm, f, g),
+                           reference(monkeypatch, RatFunc, f, g))
+
+    @pytest.mark.parametrize("dh, da, db", [
+        (0, 3, 2), (1, 1, 1), (2, 3, 3), (3, 2, 4), (5, 2, 1), (8, 1, 0),
+    ])
+    def test_qyt_planted_factor(self, monkeypatch, dh, da, db):
+        rng = random.Random(100 * dh + 10 * da + db)
+        h, a, b = qyt_poly(rng, dh), qyt_poly(rng, da), qyt_poly(rng, db)
+        f, g = h * a, h * b
+        assert rational._gcd_parts(f, g) is not None
+        got = poly_gcd(f, g)
+        assert got == reference(monkeypatch, poly_gcd, f, g)
+        if reference(monkeypatch, poly_gcd, a, b).degree == 0:
+            assert got == h.monic()
+        assert RatFunc(f, g) == reference(monkeypatch, RatFunc, f, g)
+
+    def test_qyt_coprime_and_constant(self, monkeypatch):
+        rng = random.Random(8)
+        for da, db in ((1, 1), (2, 3), (4, 4), (0, 3), (3, 0)):
+            f, g = qyt_poly(rng, da), qyt_poly(rng, db)
+            assert poly_gcd(f, g) == reference(monkeypatch, poly_gcd, f, g)
+            assert RatFunc(f, g) == reference(monkeypatch, RatFunc, f, g)
+
+    def test_content_in_y(self):
+        # y-content and integer content are units over Q(y)
+        y2 = RatFunc(UniPoly(QQ, "y", [0, 0, 6]), UniPoly(QQ, "y", [1]))
+        f = parse_qyt("(t + y)*(t - 2)").num
+        g = parse_qyt("(t + y)*(3*t + 1)").num
+        g = g._same([c * y2 for c in g.coeffs])
+        assert poly_gcd(f, g) == parse_qyt("t + y").num
+
+    def test_forced_fallback_same_canonical_strings(self, monkeypatch):
+        rng = random.Random(2024)
+        ops = []
+        for _ in range(4):
+            A = RatFunc(qyt_poly(rng, 2), qyt_poly(rng, 1))
+            B = RatFunc(qyt_poly(rng, 1), qyt_poly(rng, 1))
+            ops.append((A, B))
+
+        def canonical():
+            return [print_canonical(x) for A, B in ops
+                    for x in (A * B, A + B, A / B, A.diff())]
+
+        fast = canonical()
+        assert fast == reference(monkeypatch, canonical)
 
 
 class TestByteStable:

@@ -2,11 +2,13 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from kolberg import (
     DomainError, SeriesSpec,
@@ -424,3 +426,47 @@ class TestClosedEval:
         with pytest.raises(PoleError):
             eval_F_closed(parse_qyt("1/(1 - t)"), Fraction(1),
                           mp.mpf(1.0), 128)
+
+
+class TestThreads:
+    def test_concurrent_series_match_serial(self):
+        # _working sets the process-wide mpmath precision; four threads at
+        # 64 and 512 bits must see the results of serial calls, and leave
+        # both precisions as they found them
+        calls = [
+            (SeriesSpec("kolberg", Fraction(1, 10), a=1), 64, "1e-15"),
+            (SeriesSpec("sharp", Fraction(-1, 5), a=3, r=Fraction(1)),
+             512, "1e-100"),
+        ]
+
+        def key(res):
+            return res.value, res.error_bound, res.terms_used
+
+        serial = [key(eval_theorem_series(*c)) for c in calls]
+        mp_prec, iv_prec = mp.prec, iv.prec
+        results, errors = [], []
+
+        def worker(i):
+            try:
+                for j in range(30):
+                    k = (i + j) % 2
+                    results.append((k, key(eval_theorem_series(*calls[k]))))
+            except Exception as exc:      # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 120
+        assert all(got == serial[k] for k, got in results)
+        assert (mp.prec, iv.prec) == (mp_prec, iv_prec)

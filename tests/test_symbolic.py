@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from kolberg import (
     QQ, QT, QY, QYT,
-    PoleError, RatFunc, UniPoly,
+    DomainError, PoleError, RatFunc, UniPoly,
     parse_qt, parse_qy, parse_qyt,
     poly_gcd, print_canonical, rational_roots, substitute_y,
 )
+from kolberg import rational
 
 
 def P(coeffs, field=QQ, var="t"):
@@ -184,6 +185,26 @@ class TestTower:
                 if k < 3:
                     product = product * R
 
+    @pytest.mark.parametrize("t_degree", [4, 6])
+    def test_pow_equals_repeated_product_high_t_degree(self, t_degree):
+        rng = random.Random(t_degree)
+
+        def small_qy():
+            return RatFunc(P([rng.randint(-3, 3), rng.randint(1, 2)], var="y"),
+                           P([rng.randint(1, 3), rng.randint(0, 1)], var="y"))
+
+        def side():
+            return UniPoly(QY, "t", [small_qy() for _ in range(t_degree + 1)])
+
+        R = RatFunc(side(), side())
+        product = QYT.one
+        for k in range(4):
+            assert R ** k == product, k
+            if k:
+                assert R ** -k == 1 / product, -k
+            if k < 3:
+                product = product * R
+
     def test_substitute_commutes_with_product(self):
         A = parse_qyt("(t + y)/(y + 1)")
         B = parse_qyt("(t^2 - y)/(t - 2)")
@@ -214,6 +235,18 @@ class TestRationalRoots:
                 p = p * P([-rho, 1])
             p = p * P([1, 0, 1])  # irrational factor
             assert rational_roots(p) == roots
+
+
+    def test_search_limit(self, monkeypatch):
+        # refused before any divisor is tried once the square root of the
+        # lowest or leading cleared coefficient passes the limit
+        monkeypatch.setattr(rational, "MAX_ROOT_SEARCH", 100)
+        assert rational_roots(P([-10000, 100])) == {Fraction(100)}
+        assert rational_roots(P([-1, 0, 10000])) == {Fraction(1, 100),
+                                                     Fraction(-1, 100)}
+        for coeffs in ([-10001, 1], [-1, 10001], [Fraction(-1, 10001), 1]):
+            with pytest.raises(DomainError, match="root search"):
+                rational_roots(P(coeffs))
 
 
 class TestPrinter:
