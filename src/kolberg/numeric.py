@@ -27,6 +27,13 @@ Tail bounds use three facts, each elementary:
   * (1 + c/n)^n <= e^c for c >= 0;
   * the Cauchy bound |g_n| <= max_{|t|=tau} |G(t)| / tau^n for the
     Taylor coefficients of a function analytic on |t| <= tau.
+
+Every certified series, a family of eval_theorem_series or the H series
+of eval_H_series and check_identity, has one tail form: its terms are
+dominated by K0 n^delta q^n with q < 1, and _tail_after bounds the sum
+of that form beyond N.  One routine, _series_order, chooses N as the
+smallest order whose tail is below the target, before any term is
+built and up to the term cap _TERM_CAP.
 """
 
 from __future__ import annotations
@@ -582,6 +589,21 @@ def _family_plan(spec: SeriesSpec):
             spec.bound_delta, q, spec.bound_from)
 
 
+def _eval_result(enc, tail: Fraction, tol: Fraction, target_tol, N: int,
+                 precision: int) -> EvalResult:
+    """The result for a summed ball enc plus a series tail.
+
+    The conversion radius of enc must stay below tol/2, else the
+    precision cannot meet the tolerance.  Call inside _working.
+    """
+    rounding = _iv_rad(enc)
+    if not mp.mpf(rounding) < _mpf_from_fraction(tol / 2):
+        raise DomainError(
+            f"precision {precision} cannot meet tolerance {target_tol}")
+    bound = _mpf_from_fraction(tail) * (1 + mpmath.ldexp(1, -8)) + rounding
+    return EvalResult(_iv_mid(enc), bound, N, precision)
+
+
 def eval_theorem_series(spec: SeriesSpec, precision: int = 256,
                         target_tol="1e-30") -> EvalResult:
     """Certified evaluation of one of the series families.
@@ -596,13 +618,7 @@ def eval_theorem_series(spec: SeriesSpec, precision: int = 256,
     N, tail = _series_order(n_start, K0, delta, q, bound_from, tol / 2)
     with _working(precision):
         enc = _ball_sum(terms(N), N - n_start + 1, tol, precision)
-        rounding = _iv_rad(enc)
-        if not mp.mpf(rounding) < _mpf_from_fraction(tol / 2):
-            raise DomainError(
-                f"precision {precision} cannot meet tolerance {target_tol}")
-        bound = _mpf_from_fraction(tail) * (1 + mpmath.ldexp(1, -8)) \
-            + rounding
-        return EvalResult(_iv_mid(enc), bound, N, precision)
+        return _eval_result(enc, tail, tol, target_tol, N, precision)
 
 
 # -- H-series of a quatuor level ------------------------------------------
@@ -667,23 +683,23 @@ def _h_tail_params(R_t: RatFunc, r: Fraction, x: Fraction):
         "for this level's pole structure")
 
 
-def _h_tail_after(M: Fraction, E: Fraction, zeta: Fraction, N: int
-                  ) -> Fraction:
-    return _dyadic_up(M * E * zeta ** (N + 1) / (1 - zeta))
+def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,
+            N: int | None = None):
+    """(R_t, N, tail, u_0..u_N) for the H series of F at y = r and x.
 
-
-def _h_order(M: Fraction, E: Fraction, zeta: Fraction, target: Fraction
-             ) -> int:
-    """Smallest N >= 1 with _h_tail_after(M, E, zeta, N) <= target."""
-    N = 1
-    while _h_tail_after(M, E, zeta, N) > target:
-        if N >= _TERM_CAP:
-            raise DomainError(
-                "series did not meet the tolerance within the term cap")
-        N += 1 + N // 8
-    while N > 1 and _h_tail_after(M, E, zeta, N - 1) <= target:
-        N -= 1
-    return N
+    |u_n x^n/n!| <= M E zeta^n is the families' dominance form
+    K0 n^delta q^n with K0 = M E, delta = 0 and q = zeta, so N and its
+    tail come from _series_order and _tail_after.  With N omitted it is
+    the smallest order whose tail is below target; the term cap fires
+    before any u_n is built.
+    """
+    R_t = substitute_y(F.R if isinstance(F, AdHocFunction) else F, r)
+    M, E, zeta = _h_tail_params(R_t, r, x)
+    if N is None:
+        N, tail = _series_order(1, M * E, 0, zeta, 1, target)
+    else:
+        tail = _tail_after(M * E, 0, zeta, N, _dyadic_up(zeta ** (N + 1)))
+    return R_t, N, tail, _h_u_values(R_t, r, N)
 
 
 def _h_terms(u, x: Fraction):
@@ -697,23 +713,17 @@ def eval_H_series(F: AdHocFunction, r, x, N: int | None = None,
     """sum_{n<=N} u_n(r) x^n / n! with a certified tail bound.
 
     With N omitted, the smallest N meeting target_tol/2 is used.  The
-    sum is formed as in eval_theorem_series; the bound covers the tail,
-    the fixed-point radius and the conversion to binary.
+    sum is formed and checked as in eval_theorem_series: the bound covers
+    the tail, the fixed-point radius and the conversion to binary, and a
+    precision that cannot meet target_tol raises DomainError.
     """
     r = Fraction(r)
     x = require_x_domain(x)
     tol = tol_fraction(target_tol)
-    R_t = substitute_y(F.R if isinstance(F, AdHocFunction) else F, r)
-    M, E, zeta = _h_tail_params(R_t, r, x)
-    if N is None:
-        N = _h_order(M, E, zeta, tol / 2)
-    tail = _h_tail_after(M, E, zeta, N)
-    u = _h_u_values(R_t, r, N)
+    _, N, tail, u = _h_plan(F, r, x, tol / 2, N)
     with _working(precision):
         enc = _ball_sum(_h_terms(u, x), N + 1, tol, precision)
-        bound = _mpf_from_fraction(tail) * (1 + mpmath.ldexp(1, -8)) \
-            + _iv_rad(enc)
-        return EvalResult(_iv_mid(enc), bound, N, precision)
+        return _eval_result(enc, tail, tol, target_tol, N, precision)
 
 
 # -- identity certificate --------------------------------------------------
@@ -751,13 +761,9 @@ def check_identity(F: AdHocFunction, r, x, tol="1e-30",
     r = Fraction(r)
     x = require_x_domain(x)
     tol_f = tol_fraction(tol)
-    R_qyt = F.R if isinstance(F, AdHocFunction) else F
-    R_t = substitute_y(R_qyt, r)
-    M, E, zeta = _h_tail_params(R_t, r, x)
-    N = _h_order(M, E, zeta, tol_f / 8)
-    tail = _h_tail_after(M, E, zeta, N)
-    u = list(_h_u_values(R_t, r, N))
+    R_t, N, tail, u = _h_plan(F, r, x, tol_f / 8)
     if perturb:
+        u = list(u)
         for idx, delta in perturb.items():
             if 0 <= idx <= N:
                 u[idx] += Fraction(delta)

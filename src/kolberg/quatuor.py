@@ -74,75 +74,45 @@ def step_down(F: AdHocFunction) -> AdHocFunction:
     return AdHocFunction(S)
 
 
-def _t_shift(p: UniPoly, j: int) -> UniPoly:
-    return UniPoly(p.field, p.var, (p.field.zero,) * j + p.coeffs)
-
-
-def _solve_linear(M, rhs):
-    """Reduced row echelon solve over Q(y).
-
-    Returns (solution, None) or (None, residual of an inconsistent row).
-    Free columns get 0; the caller verifies the candidate anyway.
-    """
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    M = [list(row) for row in M]
-    rhs = list(rhs)
-    pivot_row_of_col = [None] * cols
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if not M[i][c].is_zero), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        rhs[r], rhs[p] = rhs[p], rhs[r]
-        inv = QY.one / M[r][c]
-        M[r] = [e * inv for e in M[r]]
-        rhs[r] = rhs[r] * inv
-        for i in range(rows):
-            if i != r and not M[i][c].is_zero:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-                rhs[i] = rhs[i] - f * rhs[r]
-        pivot_row_of_col[c] = r
-        r += 1
-    for i in range(r, rows):
-        if not rhs[i].is_zero:
-            return None, rhs[i]
-    sol = [QY.zero] * cols
-    for c, pr in enumerate(pivot_row_of_col):
-        if pr is not None:
-            sol[c] = rhs[pr]
-    return sol, None
-
-
 def step_up(F: AdHocFunction) -> AdHocFunction:
     """Level k+1 from level k, or raise InfertileError.
 
     Ansatz S = A(t)/D(t) with D the denominator of W = (1-t)*R_k and
-    deg A <= deg num(W) + deg D + 1; the equation y*S + t*S' = W turns
-    into a linear system over Q(y) because
+    deg A <= deg num(W) + deg D + 1; the equation y*S + t*S' = W becomes
+    A*(y*D - t*D') + t*A'*D = num(W)*D, linear over Q(y) in the
+    coefficients A_j of A because
 
-        y*(t^j) + t*(t^j)' = (y + j) t^j
+        y*(t^j) + t*(t^j)' = (y + j) t^j.
 
-    acting through the quotient rule.  The candidate is verified by
-    stepping back down before it is returned.
+    Column j contributes (y + j - i) D_i to the coefficient of t^(i+j).
+    With D_m the lowest nonzero coefficient of D, the lowest term of
+    column j is (y + j - m) D_m t^(j+m), never zero in Q(y), so the
+    system is triangular: A_j is read off the coefficient of t^(j+m) of
+    the running residual num(W)*D - (terms of A_0..A_(j-1)).  A residual
+    left over after the last column makes the system inconsistent; its
+    lowest nonzero coefficient is the witness.  The candidate is
+    verified by stepping back down before it is returned.
     """
     R = F.R
     W = (1 - T) * R
     numW, D = W.num, W.den
     dA = numW.degree + D.degree + 1
-    Dp = D.diff()
-    n_rows = dA + D.degree + 1
-    columns = []
+    d = D.coeffs
+    m = next(i for i, c in enumerate(d) if not c.is_zero)
+    y = QY.gen
+    rhs = numW * D
+    res = [rhs.coeff(i) for i in range(dA + D.degree + 1)]
+    sol = []
     for j in range(dA + 1):
-        base = D * (QY.gen + j) - _t_shift(Dp, 1)
-        columns.append(_t_shift(base, j))
-    rhs_poly = numW * D
-    M = [[columns[j].coeff(i) for j in range(dA + 1)] for i in range(n_rows)]
-    rhs = [rhs_poly.coeff(i) for i in range(n_rows)]
-    sol, residual = _solve_linear(M, rhs)
-    if sol is None:
+        a = res[j + m] / ((y + (j - m)) * d[m])
+        sol.append(a)
+        if a.is_zero:
+            continue
+        for i in range(m, len(d)):
+            if not d[i].is_zero:
+                res[i + j] -= a * (y + (j - i)) * d[i]
+    residual = next((c for c in res if not c.is_zero), None)
+    if residual is not None:
         witness = ("the linear system for the up-step is inconsistent; "
                    f"unmatched right-hand side {print_canonical(residual)}")
         raise InfertileError(witness)

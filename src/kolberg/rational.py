@@ -222,9 +222,6 @@ class UniPoly:
             acc = acc * p + c
         return acc
 
-    def map_coeffs(self, fn, field, var=None):
-        return UniPoly(field, var or self.var, [fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         o = self._coerce_operand(other)
         if o is None:

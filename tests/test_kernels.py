@@ -1,7 +1,9 @@
 """The fraction-free kernels against the per-term loops they replace.
 
 The transforms, the Taylor series and the tail-order search each run on
-numerators over one common denominator (or on integer mantissas).  The
+numerators over one common denominator (or on integer mantissas); the
+H series' former order search is kept as the reference for the one
+search that now serves it.  The
 loops below are the straightforward versions, which add and multiply
 field elements term by term; they are kept here as references only.
 The heuristic integer gcd is checked against the fallback routines it
@@ -18,7 +20,8 @@ import pytest
 from kolberg import (
     QQ, QY,
     CoeffSeq, DomainError, PoleError, RatFunc, SeriesSpec, UniPoly,
-    from_associated, generate_range, parse_qt, parse_qy, parse_qyt,
+    check_identity, diese_quatuor, eval_H_series, from_associated,
+    generate_range, kolberg_quatuor, parse_qt, parse_qy, parse_qyt,
     poly_gcd, poly_lcm, print_canonical, substitute_y, taylor_series,
     to_associated,
 )
@@ -95,6 +98,24 @@ def reference_series_order(n_start, K0, delta, q, bound_from, tol_half):
         if N > numeric._TERM_CAP:
             raise DomainError(
                 "series did not meet the tolerance within the term cap")
+
+
+def reference_h_tail_after(M, E, zeta, N):
+    return numeric._dyadic_up(M * E * zeta ** (N + 1) / (1 - zeta))
+
+
+def reference_h_order(M, E, zeta, target):
+    """The H series' former order search: gallop, then step back, with an
+    exact zeta^(N+1) at every probe."""
+    N = 1
+    while reference_h_tail_after(M, E, zeta, N) > target:
+        if N >= numeric._TERM_CAP:
+            raise DomainError(
+                "series did not meet the tolerance within the term cap")
+        N += 1 + N // 8
+    while N > 1 and reference_h_tail_after(M, E, zeta, N - 1) <= target:
+        N -= 1
+    return N
 
 
 def random_q(rng):
@@ -215,6 +236,56 @@ class TestSeriesOrder:
         for search in (numeric._series_order, reference_series_order):
             with pytest.raises(DomainError, match="term cap"):
                 search(*args)
+
+
+    def test_h_series_matches_former_search(self):
+        # |u_n x^n/n!| <= M E zeta^n is the dominance form K0 n^delta q^n
+        # with K0 = M E, delta = 0, q = zeta; the targets are those of
+        # eval_H_series (tol/2) and check_identity (tol/8)
+        levels = [diese_quatuor(-2, 3).level(k) for k in (-2, 0, 3)] \
+            + [kolberg_quatuor(-2, 2).level(k) for k in (-2, 1)]
+        for F in levels:
+            for r in (Fraction(1, 2), Fraction(-1, 3), Fraction(3)):
+                R_t = substitute_y(F.R, r)
+                for x in (Fraction(1, 10), Fraction(-1, 5), Fraction(1, 3)):
+                    M, E, zeta = numeric._h_tail_params(R_t, r, x)
+                    for tol in ("1e-10", "1e-30"):
+                        for part in (2, 8):
+                            target = numeric.tol_fraction(tol) / part
+                            N, tail = numeric._series_order(
+                                1, M * E, 0, zeta, 1, target)
+                            ref_N = reference_h_order(M, E, zeta, target)
+                            ref = reference_h_tail_after(M, E, zeta, ref_N)
+                            assert N == ref_N, (F, r, x, tol, part)
+                            assert ref <= tail <= ref * (1 + Fraction(
+                                1, 10 ** 12)), (F, r, x, tol, part)
+
+    def test_h_term_cap_before_u_values(self, monkeypatch):
+        # a target whose smallest N is _TERM_CAP + 2, one past the last
+        # order the search tries: both H paths stop before any u_n
+        F = kolberg_quatuor(-2, 2).level(0)
+        r, x = Fraction(1, 2), Fraction(1, 10)
+        M, E, zeta = numeric._h_tail_params(substitute_y(F.R, r), r, x)
+        cap, q = numeric._TERM_CAP, numeric._dyadic_up(zeta)
+        qm, qe = numeric._mantissa_exponent(q)
+        pm, pe = qm, qe
+        for _ in range(cap + 2):    # q_pow >= q^(cap + 3), as in the search
+            pm, pe = numeric._dyadic_up_step(pm * qm, pe + qe)
+        target = numeric._tail_after(M * E, 0, q, cap + 2,
+                                     Fraction(pm, 1 << pe))
+        with monkeypatch.context() as m:
+            m.setattr(numeric, "_TERM_CAP", cap + 1)
+            assert numeric._series_order(1, M * E, 0, zeta, 1, target) \
+                == (cap + 2, target)
+
+        def no_u_values(*args):
+            raise AssertionError("u-values built past the term cap")
+
+        monkeypatch.setattr(numeric, "_h_u_values", no_u_values)
+        with pytest.raises(DomainError, match="term cap"):
+            eval_H_series(F, r, x, None, 256, 2 * target)
+        with pytest.raises(DomainError, match="term cap"):
+            check_identity(F, r, x, 8 * target)
 
 
 def q_poly(rng, deg, var="y"):

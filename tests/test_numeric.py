@@ -57,10 +57,13 @@ class TestEnclosures:
         assert Fraction(27182, 10000) < E_UB < Fraction(27183, 10000)
 
     def test_domain_gate(self):
-        require_x_domain(Fraction(36, 100))
-        require_x_domain(Fraction(-36, 100))
+        # 1/e = 0.36787944...
+        for good in [Fraction(36, 100), Fraction(-36, 100),
+                     Fraction(3678, 10000), Fraction(-3678, 10000)]:
+            assert require_x_domain(good) == good
         for bad in [Fraction(0), Fraction(37, 100), Fraction(1, 2),
-                    Fraction(-2)]:
+                    Fraction(-2), Fraction(3679, 10000),
+                    Fraction(-3679, 10000)]:
             with pytest.raises(DomainError):
                 require_x_domain(bad)
 
@@ -358,6 +361,21 @@ class TestHSeries:
         F = AdHocFunction(parse_qyt("1/t"))
         with pytest.raises(PoleError):
             eval_H_series(F, Fraction(1, 2), Fraction(1, 10))
+
+    def test_precision_cannot_meet_tolerance(self):
+        # 64 bits leave a conversion radius near 1e-30 on a sum of order
+        # one; both certified sums refuse it rather than widen the bound
+        F = kolberg_quatuor(-2, 2).level(-2)
+        spec = SeriesSpec("kolberg", Fraction(1, 10), a=1, r=Fraction(1, 2))
+        calls = [
+            lambda: eval_H_series(F, Fraction(1, 2), Fraction(1, 10), None,
+                                  64, "1e-60"),
+            lambda: eval_theorem_series(spec, 64, "1e-60"),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError,
+                               match="precision 64 cannot meet tolerance"):
+                call()
 
 
 class TestIdentityCertificate:

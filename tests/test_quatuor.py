@@ -87,6 +87,20 @@ class TestSteps:
         with pytest.raises(InfertileError):
             step_up(F("1/(t - 2)"))
 
+    def test_witness_is_lowest_unmatched_coefficient(self):
+        # these systems leave two unmatched coefficients; the witness is
+        # the lower one, as the row-echelon solve reported it
+        cases = {
+            "1/((t - 2)*(t - 3))": "(307/1296*y + 37/144)/(y^2 + 7*y + 12)",
+            "t^2/(t - 3)^2": "(4/27*y + 10/27)/(y^2 + 11*y + 30)",
+        }
+        for text, residual in cases.items():
+            with pytest.raises(InfertileError) as info:
+                step_up(F(text))
+            assert info.value.witness == (
+                "the linear system for the up-step is inconsistent; "
+                "unmatched right-hand side " + residual)
+
 
 class TestGeneration:
     def test_fertile_report(self):
