@@ -5,9 +5,10 @@ symbolic side it manipulates levels F_k = t^y * R_k(t, y) with R_k
 rational, moving between levels by exact differentiation and integration
 steps and converting between the series coefficients u_n of H(x, y) and
 v_n of the associated series G(t, y) = H(t e^{-t}, y).  On the numeric
-side it evaluates the attached series families at rational points with
-exact partial sums and certified tail bounds, and checks the resulting
-identities to a requested tolerance with full error accounting.
+side it evaluates the attached series families at rational points as
+fixed-point ball sums of exact terms plus certified tail bounds, and
+checks the resulting identities to a requested tolerance with full
+error accounting.
 """
 
 from .rational import (

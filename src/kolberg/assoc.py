@@ -69,6 +69,8 @@ def _transform(seq: CoeffSeq, N: int, kind: str, weight) -> CoeffSeq:
     denominator, so each sum is an integer dot product per coefficient,
     and each output is normalised once.
     """
+    if N < 0:
+        raise ValueError(f"order N must be nonnegative, got {N}")
     rows, den = _integer_numerators(seq.ring, seq.values[1:N + 1])
     width = max(map(len, rows), default=0)
     columns = list(zip(*(row + [0] * (width - len(row)) for row in rows)))
@@ -142,13 +144,5 @@ def sequence_to_json(seq: CoeffSeq) -> str:
 def sequence_from_json(text: str) -> CoeffSeq:
     obj = json.loads(text)
     ring = _ring_by_tag(obj["ring"])
-    values = tuple(parse_to(c, ring) if ring is QY else _parse_q(c)
-                   for c in obj["coeffs"])
+    values = tuple(parse_to(c, ring) for c in obj["coeffs"])
     return CoeffSeq(obj["kind"], ring, values)
-
-
-def _parse_q(text: str) -> Fraction:
-    rf = parse_to(text, QY)
-    if not rf.is_constant:
-        raise ValueError(f"expected a rational constant, got {text!r}")
-    return rf.constant_value()

@@ -340,6 +340,8 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_verify_roundtrip(args) -> int:
+    if args.count < 0:
+        raise ParseError("--count must be nonnegative", 0)
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.count):

@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import lru_cache
 
@@ -195,15 +195,19 @@ def require_x_domain(x: Fraction):
 
 
 def tol_fraction(tol) -> Fraction:
-    """Exact rational reading of a tolerance ('1e-30', Fraction, ...)."""
+    """Exact rational reading of a tolerance ('1e-30', Fraction, ...).
+
+    ValueError unless it is readable, finite and positive."""
     if isinstance(tol, Fraction):
         value = tol
     elif isinstance(tol, int):
         value = Fraction(tol)
-    elif isinstance(tol, str):
-        value = Fraction(Decimal(tol))
-    elif isinstance(tol, float):
-        value = Fraction(Decimal(repr(tol)))
+    elif isinstance(tol, (str, float)):
+        try:
+            value = Fraction(Decimal(tol if isinstance(tol, str)
+                                     else repr(tol)))
+        except (InvalidOperation, OverflowError, ValueError) as exc:
+            raise ValueError(f"cannot read tolerance {tol!r}") from exc
     else:
         raise TypeError(f"cannot read tolerance {tol!r}")
     if value <= 0:
@@ -589,17 +593,23 @@ def _family_plan(spec: SeriesSpec):
             spec.bound_delta, q, spec.bound_from)
 
 
-def _eval_result(enc, tail: Fraction, tol: Fraction, target_tol, N: int,
-                 precision: int) -> EvalResult:
-    """The result for a summed ball enc plus a series tail.
+def _require_precision(ball, tol: Fraction, target_tol, precision: int):
+    """The radius of ball, which the precision sets, if below tol/2.
 
-    The conversion radius of enc must stay below tol/2, else the
-    precision cannot meet the tolerance.  Call inside _working.
+    A larger radius means the precision cannot meet the tolerance, and
+    DomainError is raised.  Call inside _working.
     """
-    rounding = _iv_rad(enc)
-    if not mp.mpf(rounding) < _mpf_from_fraction(tol / 2):
+    radius = _iv_rad(ball)
+    if not mp.mpf(radius) < _mpf_from_fraction(tol / 2):
         raise DomainError(
             f"precision {precision} cannot meet tolerance {target_tol}")
+    return radius
+
+
+def _eval_result(enc, tail: Fraction, tol: Fraction, target_tol, N: int,
+                 precision: int) -> EvalResult:
+    """The result for a summed ball enc plus a series tail."""
+    rounding = _require_precision(enc, tol, target_tol, precision)
     bound = _mpf_from_fraction(tail) * (1 + mpmath.ldexp(1, -8)) + rounding
     return EvalResult(_iv_mid(enc), bound, N, precision)
 
@@ -754,7 +764,9 @@ def check_identity(F: AdHocFunction, r, x, tol="1e-30",
     and F = t^r R(t); for x < 0 with fractional r both sides are
     divided by t^r and compared as H(x) e^{-r t} vs R(t).  The check
     passes when the midpoint residual is within tol plus all certified
-    error contributions.  perturb maps indices to offsets added to u_n
+    error contributions.  A precision whose radius on the summed series
+    (before its tail) or on the closed-form side is not below tol/2
+    raises DomainError.  perturb maps indices to offsets added to u_n
     (a fault-injection hook for validating that the certificate can
     fail).
     """
@@ -771,8 +783,9 @@ def check_identity(F: AdHocFunction, r, x, tol="1e-30",
         t_iv = tree_t_interval(x, precision)
         tail_sym = iv.mpf([-_mpf_from_fraction(tail),
                            _mpf_from_fraction(tail)])
-        H_iv = _ball_sum(_h_terms(u, x), N + 1, tol_f, precision) \
-            + tail_sym
+        ball = _ball_sum(_h_terms(u, x), N + 1, tol_f, precision)
+        _require_precision(ball, tol_f, tol, precision)
+        H_iv = ball + tail_sym
         if x > 0 or r.denominator == 1:
             form = "K"
             if r.denominator == 1:
@@ -785,6 +798,7 @@ def check_identity(F: AdHocFunction, r, x, tol="1e-30",
             form = "G"
             lhs = H_iv * iv.exp(-enclose_fraction(r) * t_iv)
             rhs = _eval_ratfunc_iv(R_t, t_iv)
+        _require_precision(rhs, tol_f, tol, precision)
         resid = lhs - rhs
         residual = abs(_iv_mid(resid))
         slack = _iv_rad(resid)

@@ -12,6 +12,11 @@ A rational literal and a quotient of integer literals denote the same
 value, so the tokenizer only knows integers and '/' is always division.
 Exponents are integer literals, optionally negative.
 
+Every field lowers onto one representation: (numerator, denominator)
+pairs of integer arrays in Z[y][v], v the field's variable, in the gcd
+kernel's format (a list in v of integer lists in y, no trailing zeros).
+Q, Q(var) and Q(y)(t) share it; the field matters only at the end.
+
 Limits (each violation is a ParseError, exit code 2 in the CLI):
     MAX_NESTING     parentheses and unary minus nest at most this deep;
     MAX_DIGITS      an integer literal has at most this many digits;
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rational import (
-    QN, QQ, QS, QT, QY, QYT,
+    QQ, QS, QT, QY, QYT,
     DomainError, FractionField, RatFunc, UniPoly, format_element,
-    _QY_POLY, _clear_y_denominators, _lift,
+    _lift, _power, _zzy_negate, _zzy_product, _zzy_sum,
 )
 
 VARIABLES = frozenset("ytsnx")
@@ -49,7 +54,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
+    value: int
     pos: int = 0
 
 
@@ -186,7 +191,7 @@ class _Parser:
             return node
         if ch.isdigit():
             value, pos = self.toks.take_integer()
-            return Num(Fraction(value), pos)
+            return Num(value, pos)
         if ch.isalpha():
             if ch not in VARIABLES:
                 raise ParseError(f"unknown variable {ch!r}", pos)
@@ -205,55 +210,53 @@ def parse_expr(text: str, variables=VARIABLES) -> Expression:
     return _Parser(text, variables).parse()
 
 
-def _pair_ring(field):
-    """How lowering represents field: (constant, as_pair, finish).
-
-    Values are pairs (numerator, denominator) of polynomials: in Q[var]
-    for Q(var), in Q[y][t] for Q(y)(t), plain rationals for Q.
-    constant(c) is c as a polynomial, as_pair(v) writes a field element
-    as a pair and finish(num, den) builds the one field element.
-    """
+def _layers(field, p: list):
+    """p without the layers field lacks: an int for Q, a list for Q(var)."""
     if field is QQ:
-        return (lambda c: c), (lambda v: (v, Fraction(1))), \
-            (lambda n, d: n / d)
-    inner = field.coeff_field
-    if inner is QQ:
-        return (lambda c: UniPoly(QQ, field.var, [c])), \
-            (lambda v: (v.num, v.den)), RatFunc
-
-    def finish(n, d):
-        return RatFunc(_lift(inner, field.var, n.coeffs),
-                       _lift(inner, field.var, d.coeffs))
-
-    return (lambda c: UniPoly(_QY_POLY, field.var, [c])), \
-        _clear_y_denominators, finish
+        return p[0][0] if p else 0
+    if field.coeff_field is QQ:
+        return [row[0] if row else 0 for row in p]
+    return p
 
 
 def _size(value) -> int:
     """Degree plus coefficient bits: a bound on what a power multiplies."""
-    if isinstance(value, Fraction):
-        return value.numerator.bit_length() + value.denominator.bit_length()
-    return len(value.coeffs) + max(map(_size, value.coeffs), default=0)
+    if isinstance(value, int):
+        return value.bit_length() + 1
+    return len(value) + max(map(_size, value), default=0)
 
 
-def lower(node: Expression, field, env: dict):
+def _finish(field, num: list, den: list):
+    """num / den as the one element of field; the gcd runs here."""
+    num, den = _layers(field, num), _layers(field, den)
+    if field is QQ:
+        return Fraction(num, den)
+    if field.coeff_field is QQ:
+        return RatFunc(field.poly(num), field.poly(den))
+    inner = field.coeff_field
+    return RatFunc(*(_lift(inner, field.var,
+                           [UniPoly(QQ, inner.var, row) for row in p])
+                     for p in (num, den)))
+
+
+def lower(node: Expression, field):
     """Evaluate an expression tree inside a field.
 
-    env maps variable names to field elements.  The tree is evaluated on
-    (numerator, denominator) pairs of polynomials, without any gcd, and
-    one field element is built at the end.  Division by a zero
-    polynomial is a parse-level failure, mirroring '1/0'.  The walk uses
-    an explicit stack, so long sums and products need no recursion.
+    The tree is evaluated on (numerator, denominator) pairs of arrays in
+    Z[y][v], without any gcd, and _finish builds one field element at
+    the end.  Division by a zero polynomial is a parse-level failure,
+    mirroring '1/0'.  The walk uses an explicit stack, so long sums and
+    products need no recursion.
     """
-    constant, as_pair, finish = _pair_ring(field)
-    pairs = {name: as_pair(value) for name, value in env.items()}
-    one = constant(Fraction(1))
+    pairs = {} if field is QQ else {field.var: ([[], [1]], [[1]])}
+    if field is not QQ and field.coeff_field is not QQ:
+        pairs[field.coeff_field.var] = ([[0, 1]], [[1]])
     values = []
     todo = [(node, False)]
     while todo:
         node, ready = todo.pop()
         if isinstance(node, Num):
-            values.append((constant(node.value), one))
+            values.append(([[node.value]] if node.value else [], [[1]]))
         elif isinstance(node, Var):
             if node.name not in pairs:
                 raise ParseError(
@@ -272,63 +275,49 @@ def lower(node: Expression, field, env: dict):
                 raise TypeError(f"not an expression node: {node!r}")
         elif isinstance(node, Neg):
             n, d = values.pop()
-            values.append((-n, d))
+            values.append((_zzy_negate(n), d))
         elif isinstance(node, Pow):
-            values.append(_power(values.pop(), node))
+            values.append(_lowered_power(values.pop(), node, field))
         else:
             nb, db = values.pop()
             na, da = values.pop()
             if node.op in "+-":
                 if node.op == "-":
-                    nb = -nb
+                    nb = _zzy_negate(nb)
                 if da == db:
-                    values.append((na + nb, da))
+                    values.append((_zzy_sum(na, nb), da))
                 else:
-                    values.append((_times(na, db, one) + _times(nb, da, one),
-                                   _times(da, db, one)))
+                    values.append((_zzy_sum(_zzy_product(na, db),
+                                            _zzy_product(nb, da)),
+                                   _zzy_product(da, db)))
             elif node.op == "*":
-                values.append((na * nb, _times(da, db, one)))
+                values.append((_zzy_product(na, nb), _zzy_product(da, db)))
             elif not nb:
                 raise ParseError("division by the zero polynomial", node.pos)
             else:
-                values.append((_times(na, db, one), _times(da, nb, one)))
-    return finish(*values.pop())
+                values.append((_zzy_product(na, db), _zzy_product(da, nb)))
+    return _finish(field, *values.pop())
 
 
-def _times(a, b, one):
-    """a * b, without a multiplication when a factor is one."""
-    if b == one:
-        return a
-    if a == one:
-        return b
-    return a * b
-
-
-def _power(pair, node: Pow):
+def _lowered_power(pair, node: Pow, field):
     n, d = pair
     k = node.exponent
-    if abs(k) * max(_size(n), _size(d)) > MAX_POWER_SIZE:
+    size = max(_size(_layers(field, n)), _size(_layers(field, d)))
+    if abs(k) * size > MAX_POWER_SIZE:
         raise ParseError(
             f"power too large (limit {MAX_POWER_SIZE} for |exponent| "
             "times degree plus coefficient bits)", node.pos)
-    if k >= 0:
-        return n ** k, d ** k
-    if not n:
-        raise ParseError("zero raised to a negative power", node.pos)
-    return d ** -k, n ** -k
-
-
-def _env_for(field) -> dict:
-    if field is QYT:
-        return {"y": QYT.coerce(QY.gen), "t": QYT.gen}
-    if isinstance(field, FractionField):
-        return {field.var: field.gen}
-    return {}
+    if k < 0:
+        if not n:
+            raise ParseError("zero raised to a negative power", node.pos)
+        n, d, k = d, n, -k
+    return (_power(n, k, _zzy_product, [[1]]),
+            _power(d, k, _zzy_product, [[1]]))
 
 
 def parse_to(text: str, field) -> RatFunc:
     """Parse and lower into one of the tower fields."""
-    return lower(parse_expr(text), field, _env_for(field))
+    return lower(parse_expr(text), field)
 
 
 def parse_qyt(text: str) -> RatFunc:
@@ -349,13 +338,10 @@ def parse_qs(text: str) -> RatFunc:
 
 def parse_poly(text: str, var: str = "n") -> UniPoly:
     """Parse a polynomial over Q in one variable; reject true quotients."""
-    field = FractionField(QQ, var) if var not in ("n", "s", "t", "y") else {
-        "n": QN, "s": QS, "t": QT, "y": QY}[var]
-    rf = parse_to(text, field)
+    rf = parse_to(text, FractionField(QQ, var))
     if rf.den.degree != 0:
         raise DomainError(f"expected a polynomial in {var}, got {rf}")
-    scale = rf.den.coeffs[0]
-    return UniPoly(QQ, var, [c / scale for c in rf.num.coeffs])
+    return rf.num
 
 
 print_canonical = format_element

@@ -15,8 +15,9 @@ parser) does not add or multiply field elements term by term: it
 writes its inputs as numerators over one common denominator
 (_common_denominator, into Q[y]; _integer_numerators, on to integer
 coefficients), works on those, and builds each output value once.
-The parser and the printer hold Q(y)(t) elements as polynomials in
-Q[y][t], over the coefficient ring _QY_POLY.
+The parser evaluates on integer arrays in Z[y][t] (_zzy_sum,
+_zzy_product); the printer writes Q(y)(t) elements over one common
+denominator in Q[y].
 
 Every gcd over Q[x] and Q(x)[t] (poly_gcd, poly_lcm, RatFunc.__init__)
 runs on integers: both operands are written over one common denominator
@@ -167,17 +168,7 @@ class UniPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("UniPoly power needs a nonnegative integer")
-        if k == 0:
-            return self._same([self.field.one])
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return _power(self, k, UniPoly.__mul__, self._same([self.field.one]))
 
     def __divmod__(self, other):
         o = self._coerce_operand(other)
@@ -239,6 +230,18 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.field.name}[{self.var}]: {format_element(self)})"
+
+
+def _power(base, k: int, mul, one):
+    """base^k for k >= 0 by repeated squaring; one is base^0."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return one if result is None else result
 
 
 def _int_product(a: list, b: list) -> list:
@@ -457,6 +460,41 @@ def _zzy_div(f: list, g: list):
                 r[k + j] = _int_sum(r[k + j],
                                     [-x for x in _int_product(c, g[j])])
     return None if any(_trim(r[j]) for j in range(dg)) else q
+
+
+def _zzy_sum(a: list, b: list) -> list:
+    """a + b in Z[y][t]."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, row in enumerate(b):
+        if row:
+            out[i] = _trim(_int_sum(a[i], row))
+    return _trim(out)
+
+
+def _zzy_negate(p: list) -> list:
+    return [[-c for c in row] for row in p]
+
+
+def _zzy_product(a: list, b: list) -> list:
+    """a * b in Z[y][t]."""
+    if not a or not b:
+        return []
+    if a == [[1]] or b == [[1]]:
+        return b if a == [[1]] else a
+    width = max(map(len, a)) + max(map(len, b)) - 1
+    out = [[0] * width for _ in range(len(a) + len(b) - 1)]
+    rows_b = [(j, rb) for j, rb in enumerate(b) if rb]
+    for i, ra in enumerate(a):
+        if ra:
+            for j, rb in rows_b:
+                row = out[i + j]
+                for k, x in enumerate(ra):
+                    if x:
+                        for m, z in enumerate(rb, k):
+                            row[m] += x * z
+    return [_trim(row) for row in out]
 
 
 def _zzy_primitive(p: list) -> list:
@@ -895,35 +933,6 @@ QS = FractionField(QQ, "s")     # Q(s)
 QN = FractionField(QQ, "n")     # Q(n)
 
 
-class _PolyRing:
-    """Q[var], the polynomials under Q(var), as a coefficient ring.
-
-    Elements are UniPoly over Q.  UniPoly over this ring is Q[y][t]: the
-    printer writes Q(y)(t) elements from it and the parser lowers into
-    it; _common_denominator clears Q(y) values into Q[y].
-    """
-
-    def __init__(self, var):
-        self.var = var
-        self.name = f"Q[{var}]"
-        self.zero = UniPoly(QQ, var, [])
-        self.one = UniPoly(QQ, var, [Fraction(1)])
-
-    def coerce(self, value):
-        if self.is_element(value):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return UniPoly(QQ, self.var, [Fraction(value)])
-        raise TypeError(f"cannot coerce {value!r} into {self.name}")
-
-    def is_element(self, value):
-        return (isinstance(value, UniPoly) and value.var == self.var
-                and value.field is QQ)
-
-
-_QY_POLY = _PolyRing("y")     # Q[y]
-
-
 def _common_denominator(ring, values):
     """Numerators over one common denominator of elements of Q or Q(var).
 
@@ -1117,18 +1126,14 @@ def _univar_monos(p: UniPoly):
     return out
 
 
-def _bivar_monos(p: UniPoly, inner_var: str):
+def _bivar_monos(var: str, coeffs: list, inner_var: str):
     out = []
-    for i in range(p.degree, -1, -1):
-        cy = p.coeff(i)
-        if isinstance(cy, Fraction):
-            if cy != 0:
-                out.append((cy, [(p.var, i)]))
-            continue
+    for i in range(len(coeffs) - 1, -1, -1):
+        cy = coeffs[i]
         for j in range(cy.degree, -1, -1):
             c = cy.coeff(j)
             if c != 0:
-                out.append((c, [(p.var, i), (inner_var, j)]))
+                out.append((c, [(var, i), (inner_var, j)]))
     return out
 
 
@@ -1140,14 +1145,6 @@ def _needs_parens_den(s: str) -> bool:
     return not s.replace("^", "").replace("/", "").isalnum() or "/" in s
 
 
-def _clear_y_denominators(R: RatFunc):
-    """Rewrite N(t)/D(t) over Q(y) as bivariate polys over Q via an lcm."""
-    n = len(R.num.coeffs)
-    nums, _ = _common_denominator(QY, R.num.coeffs + R.den.coeffs)
-    return (UniPoly(_QY_POLY, R.var, nums[:n]),
-            UniPoly(_QY_POLY, R.var, nums[n:]))
-
-
 def format_element(obj) -> str:
     """Canonical text form; parse(format_element(v)) recovers v exactly."""
     if isinstance(obj, Fraction):
@@ -1155,8 +1152,6 @@ def format_element(obj) -> str:
     if isinstance(obj, UniPoly):
         if isinstance(obj.field, RationalField):
             return _join_monos(_univar_monos(obj))
-        if isinstance(obj.field, _PolyRing):
-            return _join_monos(_bivar_monos(obj, "y"))
         return format_element(RatFunc(obj, _one_poly(obj.field, obj.var)))
     if not isinstance(obj, RatFunc):
         raise TypeError(f"cannot format {obj!r}")
@@ -1165,9 +1160,10 @@ def format_element(obj) -> str:
         num_s = _join_monos(_univar_monos(num_p))
         den_s = _join_monos(_univar_monos(den_p))
     else:
-        num_p, den_p = _clear_y_denominators(obj)
-        num_s = _join_monos(_bivar_monos(num_p, "y"))
-        den_s = _join_monos(_bivar_monos(den_p, "y"))
+        n = len(obj.num.coeffs)
+        nums, _ = _common_denominator(QY, obj.num.coeffs + obj.den.coeffs)
+        num_s = _join_monos(_bivar_monos(obj.var, nums[:n], "y"))
+        den_s = _join_monos(_bivar_monos(obj.var, nums[n:], "y"))
     if den_s == "1":
         return num_s
     if _needs_parens_num(num_s):

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from kolberg import diese_quatuor, g_coeffs, quatuor_to_json, sequence_to_json
+from kolberg import (
+    QQ, CoeffSeq, diese_quatuor, g_coeffs, quatuor_to_json, sequence_to_json,
+)
 from kolberg.cli import run
 
 
@@ -107,6 +109,38 @@ class TestParseLimits:
     def test_within_limits(self, capsys):
         assert run(["eset", "--g", "(" * 50 + "s^-1000" + ")" * 50]) == 0
         assert capsys.readouterr().out.strip() == "E = {1000}"
+
+
+IDENTITY = ["verify", "identity", "--r0", "1+2/y+t^2", "--level", "0",
+            "--r", "1/2", "--x", "1/5"]
+
+
+class TestRejectedArguments:
+    """Unreadable tolerances and negative orders: exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "kolberg", "--x", "1/10", "--tol", "abc"],
+        ["eval", "kolberg", "--x", "1/10", "--tol", "inf"],
+        IDENTITY + ["--inject", "1:abc"],
+        IDENTITY + ["--inject", "1:inf"],
+        ["assoc", "--dir", "fwd", "--in", "U_FILE", "--N=-1"],
+        ["verify", "table", "--N=-1"],
+        ["verify", "roundtrip", "--order=-1"],
+        ["verify", "roundtrip", "--count=-1"],
+    ], ids=["tol-abc", "tol-inf", "inject-abc", "inject-inf", "assoc-N",
+            "table-N", "roundtrip-order", "roundtrip-count"])
+    def test_exit_2_without_traceback(self, argv, tmp_path):
+        u_file = tmp_path / "u.json"
+        u_file.write_text(sequence_to_json(CoeffSeq("u", QQ, (1, 2, 3))))
+        argv = [str(u_file) if a == "U_FILE" else a for a in argv]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "kolberg.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2
+        assert "error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestAssoc:

@@ -364,13 +364,16 @@ class TestHSeries:
 
     def test_precision_cannot_meet_tolerance(self):
         # 64 bits leave a conversion radius near 1e-30 on a sum of order
-        # one; both certified sums refuse it rather than widen the bound
+        # one; the certified sums and the certificate refuse it rather
+        # than widen the bound
         F = kolberg_quatuor(-2, 2).level(-2)
         spec = SeriesSpec("kolberg", Fraction(1, 10), a=1, r=Fraction(1, 2))
         calls = [
             lambda: eval_H_series(F, Fraction(1, 2), Fraction(1, 10), None,
                                   64, "1e-60"),
             lambda: eval_theorem_series(spec, 64, "1e-60"),
+            lambda: check_identity(F, Fraction(1, 2), Fraction(1, 10),
+                                   "1e-60", 64),
         ]
         for call in calls:
             with pytest.raises(DomainError,

@@ -1,5 +1,6 @@
 """Grammar, lowering errors, and print/parse roundtrips."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kolberg import (
-    QQ, QT, QY, QYT,
+    QQ, QS, QT, QY, QYT,
     ParseError, RatFunc, UniPoly,
-    parse_poly, parse_qt, parse_qy, parse_qyt, parse_to,
+    parse_expr, parse_poly, parse_qt, parse_qy, parse_qyt, parse_to,
     print_canonical,
 )
+from kolberg.parsing import Bin, Neg, Num, Pow, Var
 
 
 class TestGrammar:
@@ -68,6 +70,83 @@ class TestGrammar:
 
     def test_zero_to_zero_power_is_one(self):
         assert parse_qt("(t - t)^0") == parse_qt("1")
+
+
+class TestPowerLimit:
+    """|exponent| times degree plus coefficient bits stays <= 100000."""
+
+    @pytest.mark.parametrize("base, field, accepted", [
+        ("2^98", QQ, True), ("2^99", QQ, False),
+        ("s^97", QS, True), ("s^98", QS, False),
+        ("t^96", QYT, True), ("t^97", QYT, False),
+        ("y^96", QYT, True), ("y^97", QYT, False),
+    ])
+    def test_boundary(self, base, field, accepted):
+        text = f"({base})^1000"
+        if accepted:
+            assert parse_to(text, field) == parse_to(base, field) ** 1000
+        else:
+            with pytest.raises(ParseError, match="power too large"):
+                parse_to(text, field)
+
+
+FIELD_VARIABLES = {
+    QQ: {},
+    QS: {"s": QS.gen},
+    QY: {"y": QY.gen},
+    QYT: {"y": QYT.coerce(QY.gen), "t": QYT.gen},
+}
+
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv}
+
+
+def random_text(rng: random.Random, names: list, depth: int) -> str:
+    """An expression with zeros, unary minus, negative powers and quotients."""
+    if depth == 0 or rng.random() < 0.2:
+        if names and rng.random() < 0.5:
+            return rng.choice(names)
+        return str(rng.choice([0, 0, 1, 2, 3, 7, 12]))
+    kind = rng.choice("+-*//^~")
+    if kind == "~":
+        return f"-({random_text(rng, names, depth - 1)})"
+    if kind == "^":
+        return f"({random_text(rng, names, depth - 1)})^{rng.randint(-2, 3)}"
+    return (f"({random_text(rng, names, depth - 1)}) {kind} "
+            f"({random_text(rng, names, depth - 1)})")
+
+
+def reference_value(node, field, variables: dict):
+    """node evaluated with the field's own + - * / and powers."""
+    if isinstance(node, Num):
+        return field.coerce(node.value)
+    if isinstance(node, Var):
+        return variables[node.name]
+    if isinstance(node, Neg):
+        return -reference_value(node.child, field, variables)
+    if isinstance(node, Pow):
+        return reference_value(node.base, field, variables) ** node.exponent
+    assert isinstance(node, Bin)
+    return OPERATORS[node.op](reference_value(node.left, field, variables),
+                              reference_value(node.right, field, variables))
+
+
+class TestLoweringDifferential:
+    @pytest.mark.parametrize("field", list(FIELD_VARIABLES),
+                             ids=lambda f: f.name)
+    def test_matches_field_arithmetic(self, field):
+        rng = random.Random(4711)
+        variables = FIELD_VARIABLES[field]
+        names = sorted(variables)
+        for _ in range(300):
+            text = random_text(rng, names, 4)
+            try:
+                expected = reference_value(parse_expr(text), field, variables)
+            except ZeroDivisionError:
+                with pytest.raises(ParseError):
+                    parse_to(text, field)
+                continue
+            assert parse_to(text, field) == expected, text
 
 
 class TestParsePoly:
