@@ -118,6 +118,8 @@ def compose_oracle(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
         raise ValueError("compose_oracle expects H-coefficients (kind 'u')")
     if N is None:
         N = u.order
+    if N < 0:
+        raise ValueError(f"order N must be nonnegative, got {N}")
     if u.order < N:
         raise ValueError(f"need u_0..u_{N}, have only {u.order + 1} entries")
     coeffs = [u.ring.zero] * (N + 1)
@@ -143,6 +145,10 @@ def sequence_to_json(seq: CoeffSeq) -> str:
 
 def sequence_from_json(text: str) -> CoeffSeq:
     obj = json.loads(text)
+    coeffs = obj["coeffs"] if isinstance(obj, dict) else None
+    if not isinstance(coeffs, list) or not all(
+            isinstance(c, str) for c in coeffs):
+        raise ValueError("sequence JSON needs a 'coeffs' list of strings")
     ring = _ring_by_tag(obj["ring"])
-    values = tuple(parse_to(c, ring) for c in obj["coeffs"])
+    values = tuple(parse_to(c, ring) for c in coeffs)
     return CoeffSeq(obj["kind"], ring, values)

@@ -247,8 +247,6 @@ def cmd_quatuor_gen(args) -> int:
 
 def cmd_quatuor_coeffs(args, which: str) -> int:
     F = _level_function(args)
-    if args.N < 0:
-        raise ParseError("--N must be nonnegative", 0)
     seq = h_coeffs(F, args.N) if which == "hcoeffs" else g_coeffs(F, args.N)
     _print_sequence(seq, args.json)
     return EXIT_OK

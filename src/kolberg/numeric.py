@@ -49,6 +49,7 @@ import mpmath
 from mpmath import iv, mp
 
 from .assoc import CoeffSeq, from_associated
+from .parsing import MAX_DIGITS
 from .quatuor import AdHocFunction, taylor_series
 from .rational import (
     QQ, QYT, DomainError, PoleError, RatFunc, UniPoly,
@@ -56,6 +57,7 @@ from .rational import (
 )
 
 GUARD_BITS = 32
+MAX_TOL_EXPONENT = 100_000     # 10^100000 takes about 10 ms to build
 
 
 # mpmath's precision is global to the process; _working holds this lock
@@ -197,17 +199,23 @@ def require_x_domain(x: Fraction):
 def tol_fraction(tol) -> Fraction:
     """Exact rational reading of a tolerance ('1e-30', Fraction, ...).
 
-    ValueError unless it is readable, finite and positive."""
-    if isinstance(tol, Fraction):
-        value = tol
-    elif isinstance(tol, int):
+    ValueError unless it is readable, finite and positive.  A decimal has
+    at most MAX_DIGITS digits and an exponent of absolute value at most
+    MAX_TOL_EXPONENT, checked before any power of ten is built."""
+    if isinstance(tol, (int, Fraction)):
         value = Fraction(tol)
     elif isinstance(tol, (str, float)):
         try:
-            value = Fraction(Decimal(tol if isinstance(tol, str)
-                                     else repr(tol)))
-        except (InvalidOperation, OverflowError, ValueError) as exc:
+            dec = Decimal(tol if isinstance(tol, str) else repr(tol))
+        except InvalidOperation as exc:
             raise ValueError(f"cannot read tolerance {tol!r}") from exc
+        if not dec.is_finite():
+            raise ValueError(f"cannot read tolerance {tol!r}")
+        _, digits, exponent = dec.as_tuple()
+        if len(digits) > MAX_DIGITS or abs(exponent) > MAX_TOL_EXPONENT:
+            raise ValueError(f"tolerance {tol!r} exceeds {MAX_DIGITS} digits "
+                             f"or the exponent limit {MAX_TOL_EXPONENT}")
+        value = Fraction(dec)
     else:
         raise TypeError(f"cannot read tolerance {tol!r}")
     if value <= 0:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from .rational import (
     QQ, QS, QT, QY, QYT,
     DomainError, FractionField, RatFunc, UniPoly, format_element,
-    _lift, _power, _zzy_negate, _zzy_product, _zzy_sum,
+    _power, _zzy_negate, _zzy_product, _zzy_sum,
 )
 
 VARIABLES = frozenset("ytsnx")
@@ -231,12 +231,10 @@ def _finish(field, num: list, den: list):
     num, den = _layers(field, num), _layers(field, den)
     if field is QQ:
         return Fraction(num, den)
-    if field.coeff_field is QQ:
-        return RatFunc(field.poly(num), field.poly(den))
-    inner = field.coeff_field
-    return RatFunc(*(_lift(inner, field.var,
-                           [UniPoly(QQ, inner.var, row) for row in p])
-                     for p in (num, den)))
+    if field.coeff_field is not QQ:
+        y = field.coeff_field.var
+        num, den = ([UniPoly(QQ, y, row) for row in p] for p in (num, den))
+    return RatFunc(field.poly(num), field.poly(den))
 
 
 def lower(node: Expression, field):

@@ -29,7 +29,6 @@ from .rational import (
     _from_integers, _int_product, _int_sum, _integer_numerators,
 )
 
-Y = QYT.coerce(QY.gen)
 T = QYT.gen
 
 
@@ -63,15 +62,16 @@ class AdHocFunction:
 
 
 def _level_below(R: RatFunc) -> RatFunc:
-    """R_k from R_{k+1}: the neighbor relation (y*R + t*R')/(1 - t)."""
-    return (Y * R + T * R.diff()) / (1 - T)
+    """R_k from R_{k+1}: the neighbor relation (y*R + t*R')/(1 - t), for
+    R = n/d built as (y*n*d + t*(n'*d - n*d')) / ((1 - t)*d^2), one gcd."""
+    n, d, t = R.num, R.den, T.num
+    return RatFunc(n * d * QY.gen + t * (n.diff() * d - n * d.diff()),
+                   (1 - t) * d * d)
 
 
 def step_down(F: AdHocFunction) -> AdHocFunction:
     """Level k from level k+1 via the derivative relation."""
-    S = _level_below(F.R)
-    assert not S.is_zero
-    return AdHocFunction(S)
+    return AdHocFunction(_level_below(F.R))
 
 
 def step_up(F: AdHocFunction) -> AdHocFunction:
@@ -142,22 +142,36 @@ class FertilityReport:
 
 
 class Quatuor:
-    """Contiguous levels k_min..k_max, validated on construction."""
+    """Contiguous levels k_min..k_max; the constructor checks each pair.
+
+    generate_range and shift use _checked, as their pairs were made by
+    step_down or passed step_up's back-check, or were checked before.
+    """
 
     __slots__ = ("k_min", "functions", "generator_level")
 
     def __init__(self, k_min: int, functions, generator_level: int):
+        self._store(k_min, functions, generator_level)
+        for i in range(len(self.functions) - 1):
+            if self.functions[i].R != _level_below(self.functions[i + 1].R):
+                raise VerificationError(
+                    f"levels {k_min + i} and {k_min + i + 1} do not satisfy "
+                    "the neighbor relation")
+
+    @classmethod
+    def _checked(cls, k_min: int, functions, generator_level: int):
+        """A Quatuor whose neighboring pairs the caller has checked."""
+        self = object.__new__(cls)
+        self._store(k_min, functions, generator_level)
+        return self
+
+    def _store(self, k_min: int, functions, generator_level: int):
         functions = tuple(functions)
         if not functions:
             raise ValueError("a quatuor needs at least one level")
         k_max = k_min + len(functions) - 1
         if not k_min <= generator_level <= k_max:
             raise ValueError("generator level outside the stored range")
-        for i in range(len(functions) - 1):
-            if functions[i].R != _level_below(functions[i + 1].R):
-                raise VerificationError(
-                    f"levels {k_min + i} and {k_min + i + 1} do not satisfy "
-                    "the neighbor relation")
         object.__setattr__(self, "k_min", k_min)
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "generator_level", generator_level)
@@ -215,7 +229,7 @@ def generate_range(generator, gen_level: int, k_min: int, k_max: int
             witness = exc.witness
             break
         functions.append(cur)
-    q = Quatuor(k_min, functions, gen_level)
+    q = Quatuor._checked(k_min, functions, gen_level)
     report = FertilityReport(
         requested=(k_min, k_max),
         achieved=(k_min, q.k_max),
@@ -227,7 +241,7 @@ def generate_range(generator, gen_level: int, k_min: int, k_max: int
 
 def shift(q: Quatuor, d: int) -> Quatuor:
     """Level k of the result is level k + d of the input."""
-    return Quatuor(q.k_min - d, q.functions, q.generator_level - d)
+    return Quatuor._checked(q.k_min - d, q.functions, q.generator_level - d)
 
 
 def linear_combine(terms) -> Quatuor:
@@ -267,6 +281,8 @@ def taylor_series(R: RatFunc, N: int, mu) -> list:
 
     which needs Q_0 = Q(0) != 0.  Each c_k is normalised once.
     """
+    if N < 0:
+        raise ValueError(f"order N must be nonnegative, got {N}")
     ring = R.num.field
     num, den = R.num, R.den
     if den.coeff(0) == ring.zero:
@@ -414,8 +430,16 @@ def quatuor_to_json(q: Quatuor) -> str:
 def quatuor_from_json(text: str) -> Quatuor:
     """Load and re-verify; neighbor-relation failure is a hard error."""
     obj = json.loads(text)
+    levels = obj["levels"] if isinstance(obj, dict) else None
+    if not isinstance(levels, dict) or not levels:
+        raise ValueError("quatuor JSON needs a nonempty 'levels' object")
+    if not all(isinstance(e, str)
+               for e in (obj["generator"], *levels.values())):
+        raise ValueError("quatuor JSON levels and generator must be strings")
+    if not isinstance(obj["generator_level"], (int, str)):
+        raise ValueError("generator_level must be an integer")
     gen_level = int(obj["generator_level"])
-    items = sorted((int(k), v) for k, v in obj["levels"].items())
+    items = sorted((int(k), v) for k, v in levels.items())
     ks = [k for k, _ in items]
     if ks != list(range(ks[0], ks[0] + len(ks))):
         raise VerificationError("levels must form a contiguous range")

@@ -12,9 +12,8 @@ RatFunc._reduced: negation, powers (gcd(n, d) = 1 implies
 gcd(n^k, d^k) = 1) and products with a nonzero constant.  Linear and
 series work (the associated-series transforms, Taylor series, the
 parser) does not add or multiply field elements term by term: it
-writes its inputs as numerators over one common denominator
-(_common_denominator, into Q[y]; _integer_numerators, on to integer
-coefficients), works on those, and builds each output value once.
+writes its inputs as integer numerators over one common denominator
+(_integer_numerators), works on those, and builds each output value once.
 The parser evaluates on integer arrays in Z[y][t] (_zzy_sum,
 _zzy_product); the printer writes Q(y)(t) elements over one common
 denominator in Q[y].
@@ -266,16 +265,25 @@ def _int_sum(a: list, b: list) -> list:
     return out
 
 
+def _clear(coeffs) -> tuple[list, int]:
+    """(ints, den): coeffs[i] = ints[i] / den, den the lcm of denominators.
+
+    Monic coefficients clear to primitive ints: the leading entry is den,
+    and a prime p of den misses the entry of the coefficient whose
+    denominator holds the highest power of p.
+    """
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
 def _qq_product(a, b) -> list:
     """Coefficients of the product of two polynomials over Q.
 
     Each factor is written as integers over one denominator, so the
     convolution runs on ints and each output coefficient is one Fraction.
     """
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    A = [c.numerator * (da // c.denominator) for c in a]
-    B = [c.numerator * (db // c.denominator) for c in b]
+    A, da = _clear(a)
+    B, db = _clear(b)
     d = da * db
     return [Fraction(c, d) for c in _int_product(A, B)]
 
@@ -549,11 +557,7 @@ def _gcd_scale(p: UniPoly) -> UniPoly:
     if p.is_zero:
         return p
     if isinstance(p.field, RationalField):
-        scale = Fraction(
-            math.lcm(*(c.denominator for c in p.coeffs)),
-            math.gcd(*(c.numerator for c in p.coeffs)),
-        )
-        return p._same([c * scale for c in p.coeffs])
+        return p._same(_zz_primitive(_clear(p.coeffs)[0]))
     return p.monic()
 
 
@@ -573,10 +577,8 @@ def _primitive_list(cs):
             break
     if g.degree > 0:
         cs = [c if c.is_zero else c.exact_div(g) for c in cs]
-    scale = Fraction(
-        math.lcm(*(q.denominator for c in cs for q in c.coeffs)),
-        math.gcd(*(q.numerator for c in cs for q in c.coeffs)),
-    )
+    ints, den = _clear([q for c in cs for q in c.coeffs])
+    scale = Fraction(den, math.gcd(*ints))
     if scale != 1:
         cs = [c * scale for c in cs]
     return cs
@@ -616,7 +618,7 @@ def _fracfield_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
         u, v = v, u
     while v:
         u, v = v, _primitive_list(_pseudo_rem(u, v))
-    return _lift(field, a.var, u).monic()
+    return UniPoly(field, a.var, u).monic()
 
 
 def _reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -648,7 +650,7 @@ def _gcd_parts(a: UniPoly, b: UniPoly):
     n = len(a.coeffs)
     field = a.field
     if isinstance(field, RationalField):
-        nums, _ = _common_denominator(field, a.coeffs + b.coeffs)
+        nums, _ = _clear(a.coeffs + b.coeffs)
         return _zz_gcd(nums[:n], nums[n:])
     if (isinstance(field, FractionField)
             and isinstance(field.coeff_field, RationalField)):
@@ -933,49 +935,34 @@ QS = FractionField(QQ, "s")     # Q(s)
 QN = FractionField(QQ, "n")     # Q(n)
 
 
-def _common_denominator(ring, values):
-    """Numerators over one common denominator of elements of Q or Q(var).
-
-    Returns (nums, den) with values[i] = nums[i] / den: over Q the nums
-    are ints and den is the lcm of the denominators; over Q(var) the
-    nums are polynomials in Q[var] and den is the monic lcm of the
-    denominators.  No value is normalised.
-    """
-    if isinstance(ring, RationalField):
-        den = math.lcm(*(v.denominator for v in values))
-        return [v.numerator * (den // v.denominator) for v in values], den
-    den = _one_poly(QQ, ring.var)
-    seen = set()
-    for v in values:
-        d = v.den
-        if d.degree > 0 and d not in seen:
-            seen.add(d)
-            den = d if den.degree == 0 else poly_lcm(den, d)
-    quotients = {}
-    nums = []
-    for v in values:
-        q = quotients.get(v.den)
-        if q is None:
-            q = quotients[v.den] = den.exact_div(v.den)
-        nums.append(v.num * q)
-    return nums, den
-
-
 def _integer_numerators(ring, values):
     """values[i] = nums[i] / den with integer coefficient lists.
 
-    Over Q(var) the lists are coefficients in var (lowest first); over Q
-    each list has one entry.  Built on _common_denominator; nothing is
-    normalised.
+    Over Q each list has one entry.  Over Q(var) the lists are in var
+    (lowest first) and den is an integer multiple of the monic lcm L of
+    the denominators, so nums[i] / den[-1] are the numerators over L.
+    With D, E the cleared L and v.den, L / v.den = (D / E) lc(E) / lc(D),
+    and D / E is exact in Z[var] by Gauss's lemma (D, E are primitive).
     """
-    nums, den = _common_denominator(ring, values)
     if isinstance(ring, RationalField):
+        nums, den = _clear(values)
         return [[n] for n in nums], [den]
-    scale = math.lcm(*(c.denominator for p in nums + [den]
-                       for c in p.coeffs))
-    return ([[c.numerator * (scale // c.denominator) for c in p.coeffs]
-             for p in nums],
-            [c.numerator * (scale // c.denominator) for c in den.coeffs])
+    dens = dict.fromkeys(v.den for v in values)
+    lcm = _one_poly(QQ, ring.var)
+    for d in dens:
+        if d.degree > 0:
+            lcm = d if lcm.degree == 0 else poly_lcm(lcm, d)
+    D, _ = _clear(lcm.coeffs)
+    for d in dens:
+        E, lc_E = _clear(d.coeffs)
+        q = _zz_div(D, E)
+        if q is None:
+            raise ArithmeticError(f"{d} does not divide the lcm {lcm}")
+        dens[d] = [lc_E * x for x in q]
+    scale = math.lcm(*(c.denominator for v in values for c in v.num.coeffs))
+    return ([_int_product([c.numerator * (scale // c.denominator)
+                           for c in v.num.coeffs], dens[v.den])
+             for v in values], [scale * x for x in D])
 
 
 def _from_integers(ring, num: list, den: list):
@@ -986,12 +973,6 @@ def _from_integers(ring, num: list, den: list):
     if isinstance(ring, RationalField):
         return Fraction(num[0] if num else 0, den[0])
     return RatFunc(UniPoly(QQ, ring.var, num), UniPoly(QQ, ring.var, den))
-
-
-def _lift(field, var, coeffs) -> UniPoly:
-    """The polynomial in var with coefficients in Q[field.var], over field."""
-    one = _one_poly(QQ, field.var)
-    return UniPoly(field, var, [RatFunc._reduced(c, one) for c in coeffs])
 
 
 def substitute_y(R: RatFunc, r: Fraction) -> RatFunc:
@@ -1049,10 +1030,7 @@ def rational_roots(p: UniPoly) -> set[Fraction]:
         raise TypeError("rational_roots needs a polynomial over Q")
     if p.degree == 0:
         return set()
-    lcm_den = 1
-    for c in p.coeffs:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in p.coeffs]
+    ints, _ = _clear(p.coeffs)
     roots: set[Fraction] = set()
     low = 0
     while ints[low] == 0:
@@ -1126,14 +1104,14 @@ def _univar_monos(p: UniPoly):
     return out
 
 
-def _bivar_monos(var: str, coeffs: list, inner_var: str):
+def _bivar_monos(var: str, rows: list, lead: int, inner_var: str):
     out = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        cy = coeffs[i]
-        for j in range(cy.degree, -1, -1):
-            c = cy.coeff(j)
-            if c != 0:
-                out.append((c, [(var, i), (inner_var, j)]))
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        for j in range(len(row) - 1, -1, -1):
+            if row[j]:
+                out.append((Fraction(row[j], lead),
+                            [(var, i), (inner_var, j)]))
     return out
 
 
@@ -1161,9 +1139,9 @@ def format_element(obj) -> str:
         den_s = _join_monos(_univar_monos(den_p))
     else:
         n = len(obj.num.coeffs)
-        nums, _ = _common_denominator(QY, obj.num.coeffs + obj.den.coeffs)
-        num_s = _join_monos(_bivar_monos(obj.var, nums[:n], "y"))
-        den_s = _join_monos(_bivar_monos(obj.var, nums[n:], "y"))
+        rows, den = _integer_numerators(QY, obj.num.coeffs + obj.den.coeffs)
+        num_s = _join_monos(_bivar_monos(obj.var, rows[:n], den[-1], "y"))
+        den_s = _join_monos(_bivar_monos(obj.var, rows[n:], den[-1], "y"))
     if den_s == "1":
         return num_s
     if _needs_parens_num(num_s):

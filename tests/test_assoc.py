@@ -44,6 +44,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             from_associated(useq([Fraction(1)]))
 
+    def test_negative_order(self):
+        u, v = useq([Fraction(1), Fraction(2)]), vseq([Fraction(1)])
+        for transform, seq in ((to_associated, u), (compose_oracle, u),
+                               (from_associated, v)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                transform(seq, -1)
+
     def test_truncation(self):
         u = useq([Fraction(n) for n in range(8)])
         assert len(to_associated(u, 3)) == 4

@@ -115,24 +115,56 @@ IDENTITY = ["verify", "identity", "--r0", "1+2/y+t^2", "--level", "0",
             "--r", "1/2", "--x", "1/5"]
 
 
+# Input files for TestRejectedArguments, named by the placeholder that
+# stands for the file's path in an argument list.
+PAYLOADS = {
+    "U_FILE": sequence_to_json(CoeffSeq("u", QQ, (1, 2, 3))),
+    "Q_NO_LEVELS": '{"generator": "1", "generator_level": 0, "levels": {}}',
+    "Q_LEVELS_LIST": '{"generator": "1", "generator_level": 0, '
+                     '"levels": ["1"]}',
+    "Q_LEVEL_INT": '{"generator": "1", "generator_level": 0, '
+                   '"levels": {"0": 1}}',
+    "Q_GEN_LEVEL_LIST": '{"generator": "1", "generator_level": [0], '
+                        '"levels": {"0": "1"}}',
+    "LIST": '["1"]',
+    "S_COEFFS_INT": '{"ring": "Q", "kind": "u", "coeffs": 5}',
+    "S_COEFFS_INTS": '{"ring": "Q", "kind": "u", "coeffs": [1, 2]}',
+}
+
+
 class TestRejectedArguments:
-    """Unreadable tolerances and negative orders: exit 2, no traceback."""
+    """Unreadable tolerances, negative orders and malformed JSON shapes:
+    exit 2, no traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["eval", "kolberg", "--x", "1/10", "--tol", "abc"],
         ["eval", "kolberg", "--x", "1/10", "--tol", "inf"],
+        ["eval", "kolberg", "--x", "1/10", "--tol", "1e-10000000"],
         IDENTITY + ["--inject", "1:abc"],
         IDENTITY + ["--inject", "1:inf"],
         ["assoc", "--dir", "fwd", "--in", "U_FILE", "--N=-1"],
+        ["quatuor", "gcoeffs", "--r0", "1/t", "--N=-1"],
         ["verify", "table", "--N=-1"],
         ["verify", "roundtrip", "--order=-1"],
         ["verify", "roundtrip", "--count=-1"],
-    ], ids=["tol-abc", "tol-inf", "inject-abc", "inject-inf", "assoc-N",
-            "table-N", "roundtrip-order", "roundtrip-count"])
+        ["poles", "--in", "Q_NO_LEVELS", "--levels", "0"],
+        ["poles", "--in", "LIST", "--levels", "0"],
+        ["poles", "--in", "Q_LEVELS_LIST", "--levels", "0"],
+        ["poles", "--in", "Q_LEVEL_INT", "--levels", "0"],
+        ["poles", "--in", "Q_GEN_LEVEL_LIST", "--levels", "0"],
+        ["assoc", "--dir", "fwd", "--in", "LIST"],
+        ["assoc", "--dir", "fwd", "--in", "S_COEFFS_INT"],
+        ["assoc", "--dir", "fwd", "--in", "S_COEFFS_INTS"],
+    ], ids=["tol-abc", "tol-inf", "tol-exponent", "inject-abc",
+            "inject-inf", "assoc-N", "gcoeffs-N", "table-N",
+            "roundtrip-order", "roundtrip-count", "quatuor-no-levels",
+            "quatuor-list", "quatuor-levels-list", "quatuor-level-int",
+            "quatuor-gen-level-list", "sequence-list", "sequence-coeffs-int",
+            "sequence-coeffs-ints"])
     def test_exit_2_without_traceback(self, argv, tmp_path):
-        u_file = tmp_path / "u.json"
-        u_file.write_text(sequence_to_json(CoeffSeq("u", QQ, (1, 2, 3))))
-        argv = [str(u_file) if a == "U_FILE" else a for a in argv]
+        for name, text in PAYLOADS.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in PAYLOADS else a for a in argv]
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-m", "kolberg.cli", *argv],

@@ -8,7 +8,9 @@ loops below are the straightforward versions, which add and multiply
 field elements term by term; they are kept here as references only.
 The heuristic integer gcd is checked against the fallback routines it
 runs in front of (the Euclidean algorithm and the primitive remainder
-sequence), with the heuristic switched off for the reference.
+sequence), with the heuristic switched off for the reference.  The
+integer common denominator and the one-gcd neighbor relation are
+checked against the Fraction and four-step forms they replace.
 """
 
 import math
@@ -18,15 +20,17 @@ from fractions import Fraction
 import pytest
 
 from kolberg import (
-    QQ, QY,
-    CoeffSeq, DomainError, PoleError, RatFunc, SeriesSpec, UniPoly,
-    check_identity, diese_quatuor, eval_H_series, from_associated,
-    generate_range, kolberg_quatuor, parse_qt, parse_qy, parse_qyt,
-    poly_gcd, poly_lcm, print_canonical, substitute_y, taylor_series,
-    to_associated,
+    QQ, QY, QYT,
+    CoeffSeq, DomainError, PoleError, Quatuor, RatFunc, SeriesSpec, UniPoly,
+    VerificationError, check_identity, diese_generator, diese_quatuor,
+    eval_H_series, from_associated, generate_range, kolberg_quatuor,
+    linear_combine, parse_qt, parse_qy, parse_qyt, poly_gcd, poly_lcm,
+    print_canonical, quatuor_from_json, quatuor_to_json, shift,
+    substitute_y, taylor_series, to_associated,
 )
-from kolberg import numeric, rational
+from kolberg import numeric, quatuor, rational
 from kolberg.cli import run
+from test_parsing import random_qyt
 
 
 def _ipow(base, exp):
@@ -404,3 +408,78 @@ class TestByteStable:
                     "--range", "0:1"]) == 3
         assert capsys.readouterr().err == (
             "fertile on [0, 0]; infertile at level 1: " + self.WITNESS + "\n")
+
+
+def reference_level_below(R: RatFunc) -> RatFunc:
+    """The neighbor relation in four normalised steps."""
+    Y, T = QYT.coerce(QY.gen), QYT.gen
+    return (Y * R + T * R.diff()) / (1 - T)
+
+
+def reference_common_denominator(values):
+    """Numerators in Q[y] over the monic lcm, by Fraction long division."""
+    den = UniPoly(QQ, "y", [1])
+    for v in values:
+        if v.den.degree > 0:
+            den = v.den if den.degree == 0 else poly_lcm(den, v.den)
+    return [v.num * den.exact_div(v.den) for v in values], den
+
+
+def tower_levels():
+    for gen, level in ((diese_generator(), 0), (parse_qyt("1/y"), 1)):
+        q, report = generate_range(gen, level, -8, 8)
+        assert report.fertile
+        yield from (f.R for f in q.functions)
+
+
+class TestTowerOnce:
+    def check_numerators(self, values):
+        rows, den = rational._integer_numerators(QY, values)
+        lead = den[-1]
+        nums, ref_den = reference_common_denominator(values)
+        assert UniPoly(QQ, "y", [Fraction(c, lead) for c in den]) == ref_den
+        assert [UniPoly(QQ, "y", [Fraction(c, lead) for c in row])
+                for row in rows] == nums
+
+    def test_random(self):
+        rng = random.Random(15)
+        for _ in range(40):
+            R = random_qyt(rng)
+            self.check_numerators(list(R.num.coeffs + R.den.coeffs))
+            if not R.is_zero:
+                assert quatuor._level_below(R) == reference_level_below(R)
+
+    def test_integer_numerators_shared_factors(self):
+        # repeated and shared factors, a non-monic cleared lcm, zero entries
+        values = [parse_qy(e) for e in (
+            "1/(y+1)^2", "3/((y+1)*(2*y-3))", "(y-1)/(2*y-3)^3", "5/7",
+            "y^2/3", "0", "(y^2 + 1/3)/((y+1)^3*(3*y^2+1))", "1/(6*y-9)")]
+        self.check_numerators(values)
+        self.check_numerators(values[::-1])
+
+    def test_levels(self):
+        for R in tower_levels():
+            assert quatuor._level_below(R) == reference_level_below(R)
+            self.check_numerators(list(R.num.coeffs + R.den.coeffs))
+
+    def test_relation_evaluated_once_per_pair(self, monkeypatch):
+        calls = []
+        level_below = quatuor._level_below
+        monkeypatch.setattr(quatuor, "_level_below",
+                            lambda R: calls.append(R) or level_below(R))
+        q, _ = generate_range(diese_generator(), 0, -3, 3)
+        assert len(calls) == 6      # 3 step_down, 3 step_up back-checks
+        calls.clear()
+        shift(q, 2)
+        assert calls == []
+
+    def test_untrusted_pairs_still_checked(self):
+        good = diese_quatuor(-1, 1)
+        bad = (good.functions[0], good.functions[2], good.functions[1])
+        with pytest.raises(VerificationError):
+            Quatuor(-1, bad, 0)
+        with pytest.raises(VerificationError):
+            linear_combine([(1, Quatuor._checked(-1, bad, 0))])
+        text = quatuor_to_json(Quatuor._checked(-1, bad, 0))
+        with pytest.raises(VerificationError):
+            quatuor_from_json(text)

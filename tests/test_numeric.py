@@ -73,6 +73,14 @@ class TestEnclosures:
         with pytest.raises(ValueError):
             tol_fraction("0")
 
+    def test_tol_fraction_limits(self):
+        # digits and exponent are bounded before a power of ten is built
+        assert tol_fraction("1e-100000") == Fraction(1, 10 ** 100000)
+        assert tol_fraction("9" * 4300) == 10 ** 4300 - 1
+        for bad in ("1e-100001", "1e100001", "1e-10000000", "1" * 4301):
+            with pytest.raises(ValueError, match="exceeds"):
+                tol_fraction(bad)
+
 
 class TestTreeFunction:
     def test_against_lambertw(self):

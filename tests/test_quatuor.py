@@ -157,6 +157,14 @@ class TestCoefficients:
         with pytest.raises(PoleError):
             taylor_series(R, 3, Fraction(0))
 
+    def test_negative_order(self):
+        R = substitute_y(parse_qyt("1/(1 - t)"), Fraction(1))
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            taylor_series(R, -1, Fraction(0))
+        for coeffs in (g_coeffs, h_coeffs):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                coeffs(diese_generator(), -1)
+
     def test_g_coeffs_diese_closed_form(self):
         # v_n = (y^2 + 2y + n(n-1)) y^(n-2)
         v = g_coeffs(diese_generator(), 8)
