@@ -62,8 +62,9 @@ def _ipow(base: int, exp: int) -> int:
     return 1 if exp == 0 else base ** exp
 
 
-def _transform(seq: CoeffSeq, N: int, kind: str, weight) -> CoeffSeq:
-    """Entry 0 of seq, then sum_{m=1..n} weight(n, m) * seq[m], n = 1..N.
+def _transform(seq: CoeffSeq, N: int, kind: str, weights) -> CoeffSeq:
+    """Entry 0 of seq, then sum_{m=1..n} w[m-1] * seq[m] with w = weights(n),
+    n = 1..N.
 
     The entries are written as integer coefficient rows over one common
     denominator, so each sum is an integer dot product per coefficient,
@@ -76,7 +77,7 @@ def _transform(seq: CoeffSeq, N: int, kind: str, weight) -> CoeffSeq:
     columns = list(zip(*(row + [0] * (width - len(row)) for row in rows)))
     out = [seq.values[0]]
     for n in range(1, N + 1):
-        w = [weight(n, m) for m in range(1, n + 1)]
+        w = weights(n)
         out.append(_from_integers(
             seq.ring, [sum(map(operator.mul, w, col)) for col in columns],
             den))
@@ -91,8 +92,19 @@ def to_associated(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
         N = u.order
     if u.order < N:
         raise ValueError(f"need u_0..u_{N}, have only {u.order + 1} entries")
-    return _transform(u, N, "v",
-                      lambda n, m: math.comb(n, m) * _ipow(-m, n - m))
+    return _transform(u, N, "v", lambda n: [
+        math.comb(n, m) * _ipow(-m, n - m) for m in range(1, n + 1)])
+
+
+def _from_weights(n: int) -> list:
+    """C(n-1, m-1) n^(n-m) for m = 1..n, walked down from w(n, n) = 1 by
+    the exact step w(n, m-1) = w(n, m) (m-1) n / (n-m+1)."""
+    row = [1] * n
+    w = 1
+    for m in range(n, 1, -1):
+        w = w * (m - 1) * n // (n - m + 1)
+        row[m - 2] = w
+    return row
 
 
 def from_associated(v: CoeffSeq, N: int | None = None) -> CoeffSeq:
@@ -103,8 +115,7 @@ def from_associated(v: CoeffSeq, N: int | None = None) -> CoeffSeq:
         N = v.order
     if v.order < N:
         raise ValueError(f"need v_0..v_{N}, have only {v.order + 1} entries")
-    return _transform(v, N, "u",
-                      lambda n, m: math.comb(n - 1, m - 1) * _ipow(n, n - m))
+    return _transform(v, N, "u", _from_weights)
 
 
 def compose_oracle(u: CoeffSeq, N: int | None = None) -> CoeffSeq:

@@ -1,14 +1,21 @@
 """Certified numeric evaluation.
 
 Every reported value comes with an error bound that is sound by
-construction.  Series are summed as fixed-point balls: each term is
-built exactly as an integer pair (num, den), without gcd reduction, and
+construction.  Series are summed as fixed-point balls.  Each term
+reaches the sum as a lower bound num/den on its magnitude, with its
+sign, plus a relative error rho: the exact term lies within a factor
+1 + rho of num/den.  The terms of the built-in families come from a
+fixed-point kernel (_kernel_terms): powers and the running x^n/n! are
+carried as mantissas of about W + 64 bits with a binary exponent,
+floored after each product, and rho counts those floors.  The H series
+and custom-H terms are exact integer pairs, rho = 0.  Each num/den is
 floored to W fractional bits, (num << W) // den.  A floor errs by less
 than one unit of 2^-W (by nothing when the division is exact), so for
 the integer sum S of the floors of count terms the exact partial sum
-lies in [S, S + count] * 2^-W; that interval is converted to binary
-with outward rounding.  W is chosen from the term count, the tolerance
-and the precision,
+lies in [S, S + count] * 2^-W, widened by the sum of the terms'
+|num/den| * rho; that interval is converted to binary with outward
+rounding.  W is chosen from the term count, the tolerance and the
+precision,
 
     W = max(precision + GUARD_BITS, ceil(log2(count / tol)) + 16)
         + bitlen(count),
@@ -469,21 +476,138 @@ def _series_order(n_start: int, K0: Fraction, delta: int, q: Fraction,
 
 
 def _scaled_terms(coeff, wp: int, wq: int, n_start: int, N: int):
-    """Integer pairs (num, den), den > 0, of coeff(n) (wp/wq)^n / n!.
+    """Exact terms coeff(n) (wp/wq)^n / n!, n = n_start..N, for _ball_sum.
 
-    n runs over n_start..N; coeff(n) returns an integer pair (c, d)
-    with d != 0.  Nothing is reduced: w^n and n! are running products.
+    coeff(n) returns an integer pair (c, d) with d != 0.  The result maps
+    a fixed-point width W (not needed here) to the triples (num, den, 0):
+    each term is the exact pair num/den, den > 0, so its relative error
+    is 0.  Nothing is reduced: w^n and n! are running products.
     """
-    wn = wp ** n_start
-    dn = wq ** n_start * math.factorial(n_start)
-    for n in range(n_start, N + 1):
-        if n > n_start:
-            wn *= wp
-            dn *= wq * n
-        c, d = coeff(n)
-        if d < 0:
-            c, d = -c, -d
-        yield c * wn, d * dn
+    def source(W: int):
+        wn = wp ** n_start
+        dn = wq ** n_start * math.factorial(n_start)
+        for n in range(n_start, N + 1):
+            if n > n_start:
+                wn *= wp
+                dn *= wq * n
+            c, d = coeff(n)
+            if d < 0:
+                c, d = -c, -d
+            yield c * wn, d * dn, 0
+    return source
+
+
+_KERNEL_GUARD = 64
+
+
+def _power_floor(b: int, e: int, G: int) -> tuple[int, int, int]:
+    """(m, x, f) with m 2^x <= b^e <= m 2^x (1 + 2^(1-G))^f, b >= 1, e >= 0.
+
+    Left-to-right square-and-multiply; after each step the mantissa is
+    floored to at most G bits.  A floor to G bits keeps at least G - 1
+    bits, so it errs downward by a factor under 1 + 2^(1-G).  Squaring
+    doubles the factor already carried and the floor adds one, so f <= 2e.
+    """
+    m, x, f = 1, 0, 0
+    for bit in bin(e)[2:]:
+        m *= m
+        x += x
+        f += f
+        if bit == "1":
+            m *= b
+        s = m.bit_length() - G
+        if s > 0:
+            m >>= s
+            x += s
+            f += 1
+    return m, x, f
+
+
+def _floor_quotient(num: int, den: int, G: int) -> tuple[int, int]:
+    """(q, k) with q = floor(num 2^k / den) of G or G + 1 bits, num, den > 0.
+
+    q >= 2^(G-1), so num 2^k / den < q + 1 <= q (1 + 2^(1-G)).  A negative
+    k divides by den 2^-k: still one floor of the exact quotient.
+    """
+    k = G - num.bit_length() + den.bit_length()
+    return ((num << k) // den if k >= 0 else num // (den << -k)), k
+
+
+def _rho_bits(f: int, G: int) -> int:
+    """p with (1 + 2^(1-G))^f <= 1 + 2^-p, the error of f floors to G bits.
+
+    With eps = 2^(1-G) and f eps <= 1/4, (1 + eps)^f <= e^(f eps) <=
+    1 + 2 f eps < 1 + 2^(bitlen(f) + 2 - G); p >= 1 ensures f eps <= 1/4.
+    """
+    p = G - 2 - f.bit_length()
+    if p < 1:
+        raise DomainError("exponent too large for the term kernel")
+    return p
+
+
+def _kernel_terms(coeff, wp: int, wq: int, n_start: int, N: int):
+    """Terms c b^e (wp/wq)^n / (d n!), n = n_start..N, in fixed point.
+
+    coeff(n) returns integers (c, d, b, e) with d != 0 (0^0 = 1).  The
+    result maps the fixed-point width W of _ball_sum to triples
+    (num, den, rho): the exact term has the sign of num, and its
+    magnitude lies in [v, v (1 + rho)] for v = |num|/den, a dyadic
+    rational.
+
+    Enclosure argument.  Every quantity is a magnitude m 2^x that errs
+    downward, carried with a count f of floors: exact <= m 2^x (1 + eps)^f
+    with eps = 2^(1-G).  The sign is applied last.
+      * r_n = |w|^n / n! is a running product from r_0 = 1 at G_run =
+        W + 2*guard bits, one floored division per step (_floor_quotient),
+        so it carries f = n at eps_run <= eps.
+      * b^e, e >= 0, comes from _power_floor at G bits with f <= 2e.  For
+        e < 0 the factor |b|^-e joins d exactly.
+      * The product |c| b^e r_n is exact; dividing it by |d| and flooring
+        to G bits adds one more.
+    So the term carries at most f = 2e + n + 1 floors, each under a
+    factor 1 + eps, and rho = 2^-_rho_bits(f, G) bounds (1 + eps)^f - 1.
+    G is W + guard plus the term's magnitude bits (a float estimate, which
+    sets only the width of the ball), at least guard + bitlen(e) and at
+    most G_run, so eps_run <= eps and the absolute error |v| rho stays
+    far below 2^-W.
+    """
+    def source(W: int):
+        G_run = W + 2 * _KERNEL_GUARD
+        aw = abs(wp)
+        rm, rx = 1, 0                   # r_n = rm 2^rx, carrying n floors
+        rhos = {}
+        for n in range(N + 1):
+            if n:
+                rm, k = _floor_quotient(rm * aw, wq * n, G_run)
+                rx -= k
+            if n < n_start:
+                continue
+            c, d, b, e = coeff(n)
+            if e < 0:
+                if b == 0:
+                    raise DomainError("zero base raised to a negative power")
+                b, e, d = 1, 0, d * b ** -e
+            if c == 0 or (b == 0 and e > 0):
+                yield 0, 1, 0
+                continue
+            negative = (c < 0) ^ (d < 0) ^ (b < 0 and e % 2 == 1) \
+                ^ (wp < 0 and n % 2 == 1)
+            c, d, b = abs(c), abs(d), max(abs(b), 1)
+            log2_term = (math.log2(c) - math.log2(d) + e * math.log2(b)
+                         + rx + rm.bit_length())
+            G = min(G_run, max(W + _KERNEL_GUARD + int(log2_term) + 2,
+                               _KERNEL_GUARD + e.bit_length()))
+            bm, bx, f = _power_floor(b, e, G)
+            m, k = _floor_quotient(c * bm * rm, d, G)
+            x = bx + rx - k
+            p = _rho_bits(f + n + 1, G)
+            rho = rhos.get(p)
+            if rho is None:
+                rho = rhos[p] = Fraction(1, 1 << p)
+            if negative:
+                m = -m
+            yield (m << x, 1, rho) if x >= 0 else (m, 1 << -x, rho)
+    return source
 
 
 def _fixed_bits(count: int, tol: Fraction, precision: int) -> int:
@@ -499,22 +623,37 @@ def _fixed_bits(count: int, tol: Fraction, precision: int) -> int:
 
 
 def _ball_sum(terms, count: int, tol: Fraction, precision: int):
-    """Interval holding the exact sum of the rationals num/den in terms.
+    """Interval holding the exact sum of count terms.
 
-    Each term is floored to W = _fixed_bits(count, ...) fractional bits.
-    A floor errs by less than one unit of 2^-W, and by nothing when the
-    division is exact, so with k inexact terms the exact sum lies in
-    [S, S + k] * 2^-W for the integer sum S of the floors.  That
-    interval is converted with outward rounding at the current iv
-    precision; call inside _working.
+    terms maps the width W = _fixed_bits(count, ...) to triples
+    (num, den, rho), den > 0: the exact term has the sign of num and a
+    magnitude in [v, v (1 + rho)] for v = |num|/den; rho = 0 for an exact
+    term.  Each num/den is floored to W fractional bits, F = floor(num
+    2^W / den).  A floor errs by less than one unit of 2^-W, and by
+    nothing when the division is exact.  The rest of a term, at most
+    v rho <= (|F| + 1) rho units, lies above the term when it is positive
+    and below it when it is negative.  So with k inexact floors, S their
+    integer sum, and A, B the sums of (|F| + 1) rho over the positive and
+    the negative terms, rounded up, the exact sum lies in
+    [S - B, S + k + A] * 2^-W.  That interval is converted with outward
+    rounding at the current iv precision; call inside _working.
     """
     W = _fixed_bits(count, tol, precision)
-    S = k = 0
-    for num, den in terms:
+    S = k = above = below = 0
+    for num, den, rho in terms(W):
         floor, rem = divmod(num << W, den)
         S += floor
         k += rem != 0
-    return iv.mpf([S, S + k]) * iv.mpf(mpmath.ldexp(1, -W))
+        if rho:
+            # (|F| + 1) rho units, rounded up in units of 2^-(W + 64)
+            err = ((abs(floor) + 1) * rho.numerator << 64) \
+                // rho.denominator + 1
+            if num < 0:
+                below += err
+            else:
+                above += err
+    above, below = -(-above >> 64), -(-below >> 64)
+    return iv.mpf([S - below, S + k + above]) * iv.mpf(mpmath.ldexp(1, -W))
 
 
 def _pair(value) -> tuple:
@@ -523,10 +662,11 @@ def _pair(value) -> tuple:
 
 
 def _family_plan(spec: SeriesSpec):
-    """Term pairs plus certified dominance data for a family.
+    """Terms plus certified dominance data for a family.
 
     Returns (terms, n_start, K0, delta, q, bound_from) where terms(N)
-    yields the integer pairs of the terms n_start..N for _ball_sum.
+    gives _ball_sum the terms n_start..N: in fixed point from
+    _kernel_terms for the built-in families, exact for custom-H.
     """
     x = require_x_domain(spec.x)
     a, r, P = spec.a, spec.r, spec.P
@@ -537,19 +677,19 @@ def _family_plan(spec: SeriesSpec):
     xp, xq = x.numerator, x.denominator
     rp, rq = r.numerator, r.denominator
     rq_a, rq_a_den = (rq ** a, 1) if a >= 0 else (1, rq ** -a)
+    # P = A(n) / L with integer coefficients A, so a term evaluates P on
+    # integers only
+    L = math.lcm(*(c.denominator for c in P.coeffs))
+    A = [int(c * L) for c in P.coeffs]
 
     def power_coeff(n: int, extra: int, extra_den: int):
         # extra * P(n) * (n*rq + rp)^(n-a) * rq^a / extra_den, so that
-        # with w = x/rq the term is coeff(n) w^n / n!  (0^0 = 1)
-        pv = P.eval(Fraction(n))
-        c = extra * rq_a * pv.numerator
-        dd = extra_den * rq_a_den * pv.denominator
-        b, e = n * rq + rp, n - a
-        if e >= 0:
-            return c * b ** e, dd
-        if b == 0:
-            raise DomainError("zero base raised to a negative power")
-        return c, dd * b ** -e
+        # with w = x/rq the term is coeff(n) w^n / n!
+        pn = 0
+        for c in reversed(A):
+            pn = pn * n + c
+        return (extra * rq_a * pn, extra_den * rq_a_den * L,
+                n * rq + rp, n - a)
 
     if spec.family == "kolberg":
         if r.denominator == 1 and a >= 2 and -(a - 1) <= r <= -1:
@@ -557,7 +697,7 @@ def _family_plan(spec: SeriesSpec):
                 f"family needs r outside {{-1, ..., {-(a - 1)}}}, got {r}")
 
         def terms(N: int):
-            return _scaled_terms(lambda n: power_coeff(n, 1, 1),
+            return _kernel_terms(lambda n: power_coeff(n, 1, 1),
                                  xp, xq * rq, 1, N)
 
         C_r = exp_ub(abs(r)) * (1 + abs(r)) ** max(-a, 0)
@@ -570,7 +710,7 @@ def _family_plan(spec: SeriesSpec):
             return power_coeff(n, poly, rq * rq)
 
         def terms(N: int):
-            return _scaled_terms(coeff, xp, xq * rq, 0, N)
+            return _kernel_terms(coeff, xp, xq * rq, 0, N)
 
         C_r = exp_ub(abs(r)) * (1 + abs(r)) ** max(-a, 0)
         C_2 = r * r + 2 * abs(r) + 3  # |r^2+2nr+2n^2-n| <= C_2 n^2, n >= 1
@@ -578,14 +718,14 @@ def _family_plan(spec: SeriesSpec):
 
     if spec.family == "example0":
         def coeff(n: int):
-            pv = P.eval(Fraction(1, n))
-            c, dd = (n - 1) * pv.numerator, pv.denominator
-            if n + a >= 0:
-                return c * n ** (n + a), dd
-            return c, dd * n ** -(n + a)
+            # P(1/n) = sum A_i n^(d-i) / (L n^d)
+            pn = 0
+            for c in A:
+                pn = pn * n + c
+            return (n - 1) * pn, L * n ** d, n, n + a
 
         def terms(N: int):
-            return _scaled_terms(coeff, xp, xq, 2, N)
+            return _kernel_terms(coeff, xp, xq, 2, N)
 
         # (n-1) n^(n+a) / n! <= n^(a+1) e^n for every n >= 1
         return terms, 2, M_P, a + 1, q, 2
@@ -627,9 +767,9 @@ def eval_theorem_series(spec: SeriesSpec, precision: int = 256,
     """Certified evaluation of one of the series families.
 
     N is chosen from the tail bound alone; the terms up to N are then
-    built exactly, floored to fixed point and summed.  The reported
-    error bound covers the series tail, the fixed-point radius and the
-    conversion of the sum to binary.
+    built by the fixed-point kernel, floored to W bits and summed.  The
+    reported error bound covers the series tail, the kernel's and the
+    fixed-point radius and the conversion of the sum to binary.
     """
     tol = tol_fraction(target_tol)
     terms, n_start, K0, delta, q, bound_from = _family_plan(spec)
@@ -721,7 +861,7 @@ def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,
 
 
 def _h_terms(u, x: Fraction):
-    """Integer pairs of u_n x^n / n! for the u_n in u, for _ball_sum."""
+    """The exact terms u_n x^n / n! for the u_n in u, for _ball_sum."""
     return _scaled_terms(lambda n: _pair(u[n]), x.numerator, x.denominator,
                          0, len(u) - 1)
 

@@ -352,9 +352,6 @@ class PoleSet:
     rational_poles: frozenset
     denominators: tuple
 
-    def sorted_poles(self) -> list[Fraction]:
-        return sorted(self.rational_poles)
-
 
 def pole_set(q: Quatuor, levels) -> PoleSet:
     """Rational poles (and raw y-denominators) of coefficients at levels."""

@@ -754,17 +754,6 @@ class RatFunc:
     def is_zero(self):
         return self.num.is_zero
 
-    @property
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant:
-            raise ValueError("not a constant")
-        if self.num.is_zero:
-            return self.num.field.zero
-        return self.num.coeffs[0] / self.den.coeffs[0]
-
     def _coerce_operand(self, other):
         if isinstance(other, RatFunc):
             if other.var == self.var and other.num.field is self.num.field:

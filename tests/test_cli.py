@@ -64,6 +64,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("domain error:") and "term cap" in err
 
+    def test_precision_refusal_is_4(self, capsys):
+        # a conversion radius near 2^-64 |S| cannot meet 1e-300; the
+        # refusal comes after the fixed-point sum of about 7000 terms
+        assert run(["eval", "kolberg", "--x", "1/3", "--tol", "1e-300",
+                    "--prec", "64"]) == 4
+        assert "cannot meet tolerance" in capsys.readouterr().err
 
     def test_root_search_limit_is_4(self):
         # the tail-parameter search needs the poles of the level; a pole

@@ -336,6 +336,114 @@ class TestFixedPointSum:
         self.assert_encloses(enc, exact)
 
 
+def within(v, exact, rho) -> bool:
+    """v <= exact <= v (1 + rho) for positive integer pairs v and exact."""
+    (vn, vd), (en, ed), rho = v, exact, Fraction(rho)
+    return (vn * ed <= en * vd and en * vd * rho.denominator
+            <= vn * ed * (rho.denominator + rho.numerator))
+
+
+def dyadic_pair(m: int, x: int) -> tuple:
+    return (m << x, 1) if x >= 0 else (m, 1 << -x)
+
+
+def family_pairs(spec: SeriesSpec, n_start: int, N: int):
+    """The family terms n_start..N as unreduced integer pairs (num, den),
+    den > 0, straight from the definitions in SeriesSpec."""
+    a, r, P, x = spec.a, spec.r, spec.P, spec.x
+    xn, xd = x.numerator ** n_start, x.denominator ** n_start
+    fact = math.factorial(n_start)
+    for n in range(n_start, N + 1):
+        if n > n_start:
+            xn, xd, fact = xn * x.numerator, xd * x.denominator, fact * n
+        if spec.family == "example0":
+            p, base, e = (n - 1) * P.eval(Fraction(1, n)), Fraction(n), n + a
+        else:
+            p, base, e = P.eval(Fraction(n)), n + r, n - a
+            if spec.family == "sharp":
+                p *= r * r + 2 * n * r + 2 * n * n - n
+        bn, bd = (base.numerator, base.denominator) if e >= 0 \
+            else (base.denominator, base.numerator)
+        num = p.numerator * bn ** abs(e) * xn
+        den = p.denominator * bd ** abs(e) * xd * fact
+        yield (-num, -den) if den < 0 else (num, den)
+
+
+class TestTermKernel:
+    """Each floored factor of the fixed-point kernel, and each term, lies
+    within a factor 1 + rho above its value; rho = 0 must not suffice."""
+
+    def test_power_floor(self):
+        rng = random.Random(41)
+        checks = []
+        for _ in range(60):
+            b = rng.randint(1, 1 << 17)
+            e = rng.choice([rng.randint(0, 40), rng.randint(41, 7000)])
+            G = rng.choice([64, 200, 700])
+            m, x, f = numeric._power_floor(b, e, G)
+            assert f <= 2 * e
+            rho = Fraction(1, 1 << numeric._rho_bits(f, G))
+            checks.append((dyadic_pair(m, x), (b ** e, 1), rho))
+        assert all(within(*c) for c in checks)
+        # fault: the floors' error dropped
+        assert not all(within(v, exact, 0) for v, exact, _ in checks)
+
+    def test_running_product(self):
+        # coeff(n) = 1 leaves the running product w^n / n! as the term;
+        # the first 100 terms and every 37th are checked.  With w = 300
+        # the terms pass 2^400, where the term width G meets the running
+        # product's, so its n floors show.
+        for w in (Fraction(1, 3), Fraction(-2, 7), Fraction(300)):
+            source = numeric._kernel_terms(lambda n: (1, 1, 1, 0),
+                                           w.numerator, w.denominator, 0,
+                                           7000)
+            checks = []
+            wn, dn = 1, 1
+            for n, (num, den, rho) in enumerate(source(400)):
+                if n:
+                    wn, dn = wn * w.numerator, dn * w.denominator * n
+                assert (num < 0) == (wn < 0)
+                if n < 100 or n % 37 == 0:
+                    checks.append(((abs(num), den), (abs(wn), dn), rho))
+            assert all(within(*c) for c in checks)
+            assert not all(within(v, exact, 0) for v, exact, _ in checks)
+
+    def test_ball_sum_widens_by_rho(self):
+        # 1 within [1, 3/2] and -1/3 within [-5/12, -1/3]: the sum can be
+        # anywhere in [7/12, 7/6], so both ends must be in the ball
+        def terms(W):
+            return iter([(1, 1, Fraction(1, 2)), (-1, 3, Fraction(1, 4))])
+
+        with _working(64):
+            enc = numeric._ball_sum(terms, 2, Fraction(1, 10 ** 6), 64)
+        assert mpf_to_fraction(_iv_lo(enc)) <= Fraction(7, 12)
+        assert Fraction(7, 6) <= mpf_to_fraction(_iv_hi(enc))
+
+    def test_families_enclose_exact_sums(self):
+        # x = 1/3, tol 1e-100: 2200-2900 terms with powers of up to 30k
+        # bits.  The exact sum is bracketed by the sums of the floors and
+        # ceilings of the exact terms at 2^-(W + 64).
+        P = parse_poly("2*n^2 - 3*n + 1/2")
+        tol = tol_fraction("1e-100")
+        for family, a, r in (("kolberg", -1, Fraction(-7, 2)),
+                             ("sharp", -2, Fraction(5, 3)),
+                             ("example0", -3, Fraction(0))):
+            spec = SeriesSpec(family, Fraction(1, 3), a=a, r=r, P=P)
+            res = eval_theorem_series(spec, 384, "1e-100")
+            terms, n_start, *_ = numeric._family_plan(spec)
+            N, count = res.terms_used, res.terms_used - n_start + 1
+            with _working(384):
+                enc = numeric._ball_sum(terms(N), count, tol, 384)
+                assert res.value == _iv_mid(enc)
+            K = numeric._fixed_bits(count, tol, 384) + 64
+            lo = hi = 0
+            for num, den in family_pairs(spec, n_start, N):
+                floor, rem = divmod(num << K, den)
+                lo, hi = lo + floor, hi + floor + (rem != 0)
+            assert mpf_to_fraction(_iv_lo(enc)) <= Fraction(lo, 1 << K)
+            assert Fraction(hi, 1 << K) <= mpf_to_fraction(_iv_hi(enc))
+
+
 class TestHSeries:
     def test_matches_closed_form_sum(self):
         mp.prec = 500
