@@ -8,7 +8,8 @@ each other through a pair of binomial transforms:
 
 with u_0 = v_0.  The power convention 0^0 = 1 is forced by the m = n
 term (it makes u_1 = v_1).  Entries live in Q or in Q(y); the formulas
-are the same in both rings.
+are the same in both rings.  Both directions use the first formula's
+weights: the second map is its inverse, computed by forward substitution.
 """
 
 from __future__ import annotations
@@ -62,40 +63,6 @@ def _ipow(base: int, exp: int) -> int:
     return 1 if exp == 0 else base ** exp
 
 
-def _transform(seq: CoeffSeq, N: int, kind: str, weights) -> CoeffSeq:
-    """Entry 0 of seq, then sum_{m=1..n} w[m-1] * seq[m] with w = weights(n),
-    n = 1..N.
-
-    The entries are written as integer coefficient rows over one common
-    denominator, so each sum is an integer dot product per coefficient,
-    and each output is normalised once.
-    """
-    if N < 0:
-        raise ValueError(f"order N must be nonnegative, got {N}")
-    rows, den = _integer_numerators(seq.ring, seq.values[1:N + 1])
-    width = max(map(len, rows), default=0)
-    columns = list(zip(*(row + [0] * (width - len(row)) for row in rows)))
-    out = [seq.values[0]]
-    for n in range(1, N + 1):
-        w = weights(n)
-        out.append(_from_integers(
-            seq.ring, [sum(map(operator.mul, w, col)) for col in columns],
-            den))
-    return CoeffSeq(kind, seq.ring, tuple(out))
-
-
-def to_associated(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
-    """G-coefficients of the associated series from H-coefficients."""
-    if u.kind != "u":
-        raise ValueError("to_associated expects H-coefficients (kind 'u')")
-    if N is None:
-        N = u.order
-    if u.order < N:
-        raise ValueError(f"need u_0..u_{N}, have only {u.order + 1} entries")
-    return _transform(u, N, "v", lambda n: [
-        math.comb(n, m) * _ipow(-m, n - m) for m in range(1, n + 1)])
-
-
 def _from_weights(n: int) -> list:
     """C(n-1, m-1) n^(n-m) for m = 1..n, walked down from w(n, n) = 1 by
     the exact step w(n, m-1) = w(n, m) (m-1) n / (n-m+1)."""
@@ -107,6 +74,48 @@ def _from_weights(n: int) -> list:
     return row
 
 
+def _transform(seq: CoeffSeq, N: int, kind: str) -> CoeffSeq:
+    """Entry 0 of seq, then entries 1..N of the transform named by kind.
+
+    With w = _from_weights(n), kind 'u' is u_n = sum_{m=1..n} w[m-1] v_m,
+    and kind 'v' solves the same unit lower-triangular system by forward
+    substitution, v_n = u_n - sum_{m<n} w[m-1] v_m.  The entries are
+    written as integer coefficient rows over one common denominator; the
+    weights are integers, so every sum stays an integer dot product per
+    coefficient over that denominator, and each output is normalised once.
+    """
+    if N < 0:
+        raise ValueError(f"order N must be nonnegative, got {N}")
+    rows, den = _integer_numerators(seq.ring, seq.values[1:N + 1])
+    width = max(map(len, rows), default=0)
+    columns = list(zip(*(row + [0] * (width - len(row)) for row in rows)))
+    solved = [[] for _ in columns]
+    out = [seq.values[0]]
+    for n in range(1, N + 1):
+        w = _from_weights(n)
+        if kind == "u":
+            ints = [sum(map(operator.mul, w, col)) for col in columns]
+        else:
+            # map stops at the n - 1 entries solved so far
+            ints = [col[n - 1] - sum(map(operator.mul, w, vs))
+                    for col, vs in zip(columns, solved)]
+            for vs, x in zip(solved, ints):
+                vs.append(x)
+        out.append(_from_integers(seq.ring, ints, den))
+    return CoeffSeq(kind, seq.ring, tuple(out))
+
+
+def to_associated(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
+    """G-coefficients of the associated series from H-coefficients."""
+    if u.kind != "u":
+        raise ValueError("to_associated expects H-coefficients (kind 'u')")
+    if N is None:
+        N = u.order
+    if u.order < N:
+        raise ValueError(f"need u_0..u_{N}, have only {u.order + 1} entries")
+    return _transform(u, N, "v")
+
+
 def from_associated(v: CoeffSeq, N: int | None = None) -> CoeffSeq:
     """H-coefficients from the coefficients of the associated series."""
     if v.kind != "v":
@@ -115,7 +124,7 @@ def from_associated(v: CoeffSeq, N: int | None = None) -> CoeffSeq:
         N = v.order
     if v.order < N:
         raise ValueError(f"need v_0..v_{N}, have only {v.order + 1} entries")
-    return _transform(v, N, "u", _from_weights)
+    return _transform(v, N, "u")
 
 
 def compose_oracle(u: CoeffSeq, N: int | None = None) -> CoeffSeq:

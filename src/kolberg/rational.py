@@ -25,9 +25,8 @@ and Gonnet evaluates them at a large integer xi (x = xi first, then t),
 takes one integer gcd and reads the polynomial gcd back from its balanced
 base-xi digits.  A candidate is kept only if exact integer division
 confirms it; the divisions also give the cofactors, which RatFunc uses
-directly.  When HEU_ATTEMPTS values of xi all fail, the Euclidean
-algorithm over Q and the primitive remainder sequence over Q(x)[t]
-(_reference_gcd) take over.
+directly.  This heuristic is the only gcd: xi grows until a candidate is
+confirmed, which always happens (the argument is written at the kernels).
 """
 
 from __future__ import annotations
@@ -296,9 +295,8 @@ def _qq_product(a, b) -> list:
 # nonzero last entry; Z[y][t] is a list (in t) of such lists (in y), [] for
 # a zero coefficient.  A gcd is accepted only after exact trial division,
 # and xi is kept above twice a root bound of one operand, which makes every
-# accepted answer the gcd (proof below); the kernels return None when
-# HEU_ATTEMPTS values of xi all fail, and the callers then fall back to the
-# Euclidean algorithm or the primitive remainder sequence.
+# accepted answer the gcd (first proof below); xi grows until a candidate
+# is accepted, which happens for every large enough xi (second proof).
 #
 # Why an accepted answer is right (univariate; f, g primitive).  Let
 # gamma = gcd(f(xi), g(xi)) and G = gcd(f, g).  If h divides f and g then
@@ -314,8 +312,19 @@ def _qq_product(a, b) -> list:
 # t-coefficients, given the univariate gcd gamma(t) of f(xi, t) and
 # g(xi, t) with its content, and t-degrees kept at xi; there k is found to
 # be an integer, a unit over Q(y).
-
-HEU_ATTEMPTS = 6
+#
+# Why the loop ends.  In Z[x] write f = G a, g = G b with a, b coprime.
+# Then gamma = |G(xi)| k with k = gcd(a(xi), b(xi)), and k divides the
+# integer D = Res(a, b) != 0, which lies in the ideal (a, b), for every xi.
+# Once xi > 2 |D| |G|_inf the balanced digits of gamma are those of +-k G,
+# so the first candidate, pp(+-k G) = +-G, is confirmed.  In Z[y][t] (with
+# lc_t(f), lc_t(g) nonzero at xi, as the loop requires) a(xi, t), b(xi, t)
+# share a factor of positive t-degree only when xi is a root of
+# Res_t(a, b) != 0, and their common integer factor divides a fixed D built
+# from the resultants of the two y-contents and of the t-coefficients of
+# each primitive part; so for large xi gamma(t) = +-k G(xi, t) with |k| <= |D|
+# and the same digit argument applies coefficientwise.  xi grows without
+# bound, so a candidate is confirmed after finitely many steps.
 
 
 def _trim(p: list) -> list:
@@ -416,9 +425,9 @@ def _zz_primitive(p: list) -> list:
 
 
 def _zz_heu(f: list, g: list):
-    """(h, f/h, g/h) for primitive f, g of degree >= 1, or None."""
+    """(h, f/h, g/h) for primitive f, g of degree >= 1."""
     xi = _xi_start(max(map(abs, f)), f[-1], max(map(abs, g)), g[-1])
-    for _ in range(HEU_ATTEMPTS):
+    while True:
         fv, gv = _eval(f, xi), _eval(g, xi)
         if fv and gv:
             gamma = math.gcd(fv, gv)
@@ -427,22 +436,18 @@ def _zz_heu(f: list, g: list):
             if res is not None:
                 return res
         xi = _xi_next(xi)
-    return None
 
 
 def _zz_gcd(f: list, g: list):
-    """(h, f/h, g/h) with h = +-gcd(f, g) in Z[x], content included, or None.
+    """(h, f/h, g/h) with h = +-gcd(f, g) in Z[x], content included.
 
-    f and g are nonzero.  None means the heuristic gave up.
+    f and g are nonzero.
     """
     cf, cg = _content(f), _content(g)
     c = math.gcd(cf, cg)
     if len(f) == 1 or len(g) == 1:
         return [c], [x // c for x in f], [x // c for x in g]
-    res = _zz_heu([x // cf for x in f], [x // cg for x in g])
-    if res is None:
-        return None
-    h, a, b = res
+    h, a, b = _zz_heu([x // cf for x in f], [x // cg for x in g])
     return ([c * x for x in h], [cf // c * x for x in a],
             [cg // c * x for x in b])
 
@@ -511,11 +516,10 @@ def _zzy_primitive(p: list) -> list:
 
 
 def _zzy_gcd(f: list, g: list):
-    """(h, f/h, g/h) for nonzero f, g in Z[y][t], or None.
+    """(h, f/h, g/h) for nonzero f, g in Z[y][t].
 
     h divides f and g in Z[y][t] and f/h, g/h are coprime in Q(y)[t], so
-    h is the gcd over Q(y)[t] up to a unit.  None means the heuristic gave
-    up.
+    h is the gcd over Q(y)[t] up to a unit.
     """
     if len(f) == 1 or len(g) == 1:
         return [[1]], f, g
@@ -526,15 +530,12 @@ def _zzy_gcd(f: list, g: list):
     norm_f = max(abs(x) for row in f for x in row)
     norm_g = max(abs(x) for row in g for x in row)
     xi = _xi_start(norm_f, f[-1][-1], norm_g, g[-1][-1])
-    for _ in range(HEU_ATTEMPTS):
+    while True:
         fv = [_eval(row, xi) for row in f]
         gv = [_eval(row, xi) for row in g]
         # a t-degree lost at y = xi would break the argument above
         if fv[-1] and gv[-1]:
-            values = _zz_gcd(fv, gv)
-            if values is None:
-                return None
-            res = _confirm(f, g, values,
+            res = _confirm(f, g, _zz_gcd(fv, gv),
                            lambda vs: [_digits(v, xi) for v in vs],
                            _zzy_primitive, _zzy_div)
             if res is not None:
@@ -542,110 +543,16 @@ def _zzy_gcd(f: list, g: list):
                 return (h, [[cf * x for x in row] for row in a],
                         [[cg * x for x in row] for row in b])
         xi = _xi_next(xi)
-    return None
-
-
-def _gcd_scale(p: UniPoly) -> UniPoly:
-    """Rescale by a unit so remainder-sequence coefficients stay small.
-
-    Over Q the polynomial is scaled to integer coefficients with
-    content 1; over a rational-function coefficient field it is made
-    monic, which re-reduces every coefficient one layer down.  Without
-    this the Euclidean remainders grow exponentially large even though
-    the gcd itself is tiny.  Unit factors never change the monic gcd.
-    """
-    if p.is_zero:
-        return p
-    if isinstance(p.field, RationalField):
-        return p._same(_zz_primitive(_clear(p.coeffs)[0]))
-    return p.monic()
-
-
-def _primitive_list(cs):
-    """Divide a coefficient list over Q[x] by its content (poly and Q)."""
-    cs = list(cs)
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    if not cs:
-        return []
-    g = None
-    for c in cs:
-        if c.is_zero:
-            continue
-        g = c if g is None else poly_gcd(g, c)
-        if g.degree == 0:
-            break
-    if g.degree > 0:
-        cs = [c if c.is_zero else c.exact_div(g) for c in cs]
-    ints, den = _clear([q for c in cs for q in c.coeffs])
-    scale = Fraction(den, math.gcd(*ints))
-    if scale != 1:
-        cs = [c * scale for c in cs]
-    return cs
-
-
-def _pseudo_rem(u, v):
-    """Pseudo-remainder of coefficient lists over Q[x] (no divisions)."""
-    lv = v[-1]
-    r = list(u)
-    while len(r) >= len(v):
-        rl = r[-1]
-        shift = len(r) - len(v)
-        r = [lv * c for c in r[:-1]]
-        for j in range(len(v) - 1):
-            r[shift + j] = r[shift + j] - rl * v[j]
-        while r and r[-1].is_zero:
-            r.pop()
-    return r
-
-
-def _fracfield_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q(x)[t] via a primitive remainder sequence.
-
-    Denominators are cleared so every step is polynomial arithmetic in
-    Q[x][t]; stripping the content after each pseudo-division keeps
-    coefficients small where a fraction-field Euclidean loop would let
-    them grow without bound.
-    """
-    field = a.field
-
-    def clear(p):
-        rows, _ = _integer_numerators(field, p.coeffs)
-        return _primitive_list([UniPoly(QQ, field.var, r) for r in rows])
-
-    u, v = clear(a), clear(b)
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        u, v = v, _primitive_list(_pseudo_rem(u, v))
-    return UniPoly(field, a.var, u).monic()
-
-
-def _reference_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd without the heuristic; gcd(0, 0) = 0.
-
-    Over Q(x)[t] the primitive remainder sequence, otherwise the Euclidean
-    algorithm.  This is the fallback when the heuristic gives up.
-    """
-    if (not a.is_zero and not b.is_zero
-            and isinstance(a.field, FractionField)
-            and isinstance(a.field.coeff_field, RationalField)):
-        return _fracfield_gcd(a, b)
-    a = _gcd_scale(a)
-    b = _gcd_scale(b)
-    while not b.is_zero:
-        a, b = b, _gcd_scale(divmod(a, b)[1])
-    return a.monic()
 
 
 def _gcd_parts(a: UniPoly, b: UniPoly):
-    """The heuristic gcd of nonzero a and b as integer data, or None.
+    """The heuristic gcd of nonzero a and b as integer data.
 
     Over Q, a and b are scaled by one common factor s to integer
     coefficient lists; over Q(x) (the coefficients of Q(x)[t]), to
     coefficients in Z[x].  Returns (h, a', b') from _zz_gcd or _zzy_gcd,
-    with s a = h a' and s b = h b'.  None when the field is neither or
-    the heuristic gave up.
+    with s a = h a' and s b = h b'.  Raises TypeError for any other
+    coefficient field.
     """
     n = len(a.coeffs)
     field = a.field
@@ -656,7 +563,8 @@ def _gcd_parts(a: UniPoly, b: UniPoly):
             and isinstance(field.coeff_field, RationalField)):
         rows, _ = _integer_numerators(field, a.coeffs + b.coeffs)
         return _zzy_gcd(rows[:n], rows[n:])
-    return None
+    raise TypeError(f"no gcd over {field.name}: coefficients must lie in "
+                    "Q or Q(x)")
 
 
 def _rows_over(field, var, rows: list, lead) -> UniPoly:
@@ -671,15 +579,10 @@ def _rows_over(field, var, rows: list, lead) -> UniPoly:
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd; gcd(0, 0) = 0.
-
-    Over Q and Q(x) the heuristic integer kernel runs first, and
-    _reference_gcd when it gives up or for other coefficient fields.
-    """
-    parts = None if a.is_zero or b.is_zero else _gcd_parts(a, b)
-    if parts is None:
-        return _reference_gcd(a, b)
-    h = parts[0]
+    """Monic gcd over Q or Q(x); gcd(0, b) = monic(b), gcd(0, 0) = 0."""
+    if a.is_zero or b.is_zero:
+        return b.monic() if a.is_zero else a.monic()
+    h = _gcd_parts(a, b)[0]
     return _rows_over(a.field, a.var, h, h[-1])
 
 
@@ -687,10 +590,7 @@ def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic lcm, a (b / gcd(a, b)); lcm with 0 is 0."""
     if a.is_zero or b.is_zero:
         return UniPoly(a.field, a.var, [])
-    parts = _gcd_parts(a, b)
-    if parts is None:
-        return (a * b).exact_div(_reference_gcd(a, b)).monic()
-    bq = parts[2]
+    bq = _gcd_parts(a, b)[2]
     return (a * _rows_over(b.field, b.var, bq, bq[-1])).monic()
 
 
@@ -700,15 +600,9 @@ def _cancel(num: UniPoly, den: UniPoly):
     The heuristic's cofactors come divided by the leading coefficient of
     den's cofactor, so the new den is monic and no division runs.
     """
-    parts = _gcd_parts(num, den)
-    if parts is not None:
-        _, a, b = parts
-        return (_rows_over(num.field, num.var, a, b[-1]),
-                _rows_over(den.field, den.var, b, b[-1]))
-    g = _reference_gcd(num, den)
-    if g.degree > 0:
-        return num.exact_div(g), den.exact_div(g)
-    return num, den
+    _, a, b = _gcd_parts(num, den)
+    return (_rows_over(num.field, num.var, a, b[-1]),
+            _rows_over(den.field, den.var, b, b[-1]))
 
 
 class RatFunc:
@@ -999,8 +893,10 @@ def _divisors(n: int) -> list[int]:
 
 # rational_roots enumerates the divisors of the lowest and the leading
 # coefficient by trial division up to their square roots; it refuses a
-# polynomial for which either square root exceeds this (about 1.5 s of
-# search at the limit).
+# polynomial for which either square root exceeds this.  The limit bounds
+# coefficient size only, not time: the candidate loop runs over the product
+# of the two divisor counts, which highly composite coefficients below the
+# limit make large.
 MAX_ROOT_SEARCH = 10 ** 7
 
 
@@ -1011,7 +907,8 @@ def rational_roots(p: UniPoly) -> set[Fraction]:
     coefficients; each candidate is confirmed by exact evaluation.
     Raises DomainError, before any search, when the square root of the
     lowest nonzero or the leading cleared coefficient exceeds
-    MAX_ROOT_SEARCH.
+    MAX_ROOT_SEARCH.  That limit bounds coefficient size, not search time,
+    which grows with the product of the two coefficients' divisor counts.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")

@@ -6,11 +6,12 @@ H series' former order search is kept as the reference for the one
 search that now serves it.  The
 loops below are the straightforward versions, which add and multiply
 field elements term by term; they are kept here as references only.
-The heuristic integer gcd is checked against the fallback routines it
-runs in front of (the Euclidean algorithm and the primitive remainder
-sequence), with the heuristic switched off for the reference.  The
-integer common denominator and the one-gcd neighbor relation are
-checked against the Fraction and four-step forms they replace.
+The heuristic integer gcd, the library's only gcd, is checked against
+the Euclidean algorithm over Q and the primitive remainder sequence over
+Q[x][t], which live here as references: the reference runs swap them in
+for the heuristic at every level.  The integer common denominator and the
+one-gcd neighbor relation are checked against the Fraction and four-step
+forms they replace.
 """
 
 import math
@@ -308,10 +309,103 @@ def qyt_poly(rng, deg):
     return UniPoly(QY, "t", [qy_coeff(rng) for _ in range(deg + 1)])
 
 
+def primitive_scale(p: UniPoly) -> UniPoly:
+    """p over Q times a unit: integer coefficients with content 1."""
+    if p.is_zero:
+        return p
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*ints)
+    return p._same([Fraction(x, g) for x in ints])
+
+
+def reference_euclid(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd over Q by the Euclidean algorithm on Fractions.
+
+    Each remainder is rescaled to primitive integer coefficients, which
+    keeps the remainder sequence small; units never change the monic gcd.
+    """
+    a, b = primitive_scale(a), primitive_scale(b)
+    while not b.is_zero:
+        a, b = b, primitive_scale(divmod(a, b)[1])
+    return a.monic()
+
+
+def primitive_rows(cs: list) -> list:
+    """A coefficient list over Q[x] divided by its content in Q[x] and Q."""
+    cs = list(cs)
+    while cs and cs[-1].is_zero:
+        cs.pop()
+    if not cs:
+        return []
+    g = cs[-1]
+    for c in cs:
+        if not c.is_zero and g.degree > 0:
+            g = reference_euclid(g, c)
+    cs = [c.exact_div(g) for c in cs]
+    qs = [q for c in cs for q in c.coeffs]
+    den = math.lcm(*(q.denominator for q in qs))
+    scale = Fraction(den, math.gcd(*(q.numerator * (den // q.denominator)
+                                      for q in qs)))
+    return [c * scale for c in cs]
+
+
+def pseudo_rem(u: list, v: list) -> list:
+    """Pseudo-remainder of coefficient lists over Q[x] (no divisions)."""
+    lv = v[-1]
+    r = list(u)
+    while len(r) >= len(v):
+        rl = r[-1]
+        shift = len(r) - len(v)
+        r = [lv * c for c in r[:-1]]
+        for j in range(len(v) - 1):
+            r[shift + j] = r[shift + j] - rl * v[j]
+        while r and r[-1].is_zero:
+            r.pop()
+    return r
+
+
+def reference_prs(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd over Q(x)[t] by the primitive remainder sequence.
+
+    Denominators are cleared so every step is polynomial arithmetic in
+    Q[x][t], and each pseudo-remainder is stripped of its content.
+    """
+    def clear(p):
+        den = UniPoly(QQ, p.field.var, [1])
+        for c in p.coeffs:
+            den = den * c.den.exact_div(reference_euclid(den, c.den))
+        return primitive_rows([c.num * den.exact_div(c.den)
+                               for c in p.coeffs])
+
+    u, v = clear(a), clear(b)
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        u, v = v, primitive_rows(pseudo_rem(u, v))
+    return UniPoly(a.field, a.var, u).monic()
+
+
+def reference_gcd_parts(a: UniPoly, b: UniPoly):
+    """rational._gcd_parts' integer data (h, a', b') from the reference
+    gcds: h clears the monic gcd g, and a', b' clear a/g, b/g over one
+    common denominator."""
+    if a.field is QQ:
+        g, clear = reference_euclid(a, b), rational._clear
+    else:
+        g = reference_prs(a, b)
+        clear = lambda cs: rational._integer_numerators(a.field, cs)
+    qa, qb = a.exact_div(g), b.exact_div(g)
+    h, _ = clear(g.coeffs)
+    rows, _ = clear(qa.coeffs + qb.coeffs)
+    n = len(qa.coeffs)
+    return h, rows[:n], rows[n:]
+
+
 def reference(monkeypatch, fn, *args):
-    """fn(*args) with the heuristic switched off (every gcd falls back)."""
+    """fn(*args) with every gcd, at every level, by the reference gcds."""
     with monkeypatch.context() as m:
-        m.setattr(rational, "HEU_ATTEMPTS", 0)
+        m.setattr(rational, "_gcd_parts", reference_gcd_parts)
         return fn(*args)
 
 
@@ -378,6 +472,45 @@ class TestGcdKernel:
         g = parse_qyt("(t + y)*(3*t + 1)").num
         g = g._same([c * y2 for c in g.coeffs])
         assert poly_gcd(f, g) == parse_qyt("t + y").num
+
+    @staticmethod
+    def xi_points(norm, lead, count):
+        xis = [rational._xi_start(norm, lead, norm, lead)]
+        while len(xis) < count:
+            xis.append(rational._xi_next(xis[-1]))
+        return xis
+
+    def test_zz_grows_xi_until_confirmed(self):
+        # at each of the first seven points x^2 + 1 divides C, so the
+        # values share the cofactor gcd x^2 + 1 and no candidate divides
+        G = [3, -2, 1]
+        f = rational._int_product(G, [1, 0, 1])
+        C = math.prod(xi * xi + 1 for xi in self.xi_points(
+            max(map(abs, f)), f[-1], 7))
+        g = rational._int_product(G, [1 + C, 0, 1])
+        h, a, b = rational._zz_gcd(f, g)
+        assert rational._int_product(h, a) == f
+        assert rational._int_product(h, b) == g
+        assert h in (G, [-x for x in G])
+
+    def test_zzy_grows_xi_until_confirmed(self):
+        # at y = xi for the first seven points the cofactors share the
+        # integer y^2 + 1, so each lifted candidate carries that factor
+        G = [[1, 0, 1], [-2], [0, 1]]               # y t^2 - 2t + y^2 + 1
+        g = rational._zzy_product(G, [[1, 0, 1], [], [1, 0, 1]])
+        C = math.prod(xi * xi + 1 for xi in self.xi_points(
+            max(x for row in g for x in map(abs, row)), g[-1][-1], 7))
+        f = rational._zzy_product(G, [[1 + C, 0, 1], [1, 0, 1]])
+        h, a, b = rational._zzy_gcd(f, g)
+        assert rational._zzy_product(h, a) == f
+        assert rational._zzy_product(h, b) == g
+        assert h in (G, rational._zzy_negate(G))
+
+    def test_other_coefficient_field_raises(self):
+        F = rational.FractionField(QYT, "s")
+        p = UniPoly(F, "z", [F.gen, F.one])
+        with pytest.raises(TypeError):
+            poly_gcd(p, p * p)
 
     def test_forced_fallback_same_canonical_strings(self, monkeypatch):
         rng = random.Random(2024)
