@@ -13,6 +13,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 
@@ -98,6 +99,14 @@ def _common_flags(parser, root: bool):
                         metavar="BITS", help="working precision in bits")
 
 
+def _command(sub, name: str, handler, help_text: str):
+    """A leaf subcommand: the common flags, and the handler run() calls."""
+    p = sub.add_parser(name, help=help_text)
+    _common_flags(p, root=False)
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kolberg",
@@ -108,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(parser, root=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("assoc", help="apply the coefficient transform")
-    _common_flags(p, root=False)
+    p = _command(sub, "assoc", cmd_assoc, "apply the coefficient transform")
     p.add_argument("--dir", required=True, choices=("fwd", "inv"),
                    help="fwd: u -> v; inv: v -> u")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE",
@@ -119,18 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quatuor", help="generate or interrogate a quatuor")
     qsub = p.add_subparsers(dest="quatuor_command", required=True)
 
-    g = qsub.add_parser("gen", help="grow a quatuor from one level")
-    _common_flags(g, root=False)
+    g = _command(qsub, "gen", cmd_quatuor_gen, "grow a quatuor from one level")
     g.add_argument("--r0", required=True, metavar="EXPR",
                    help="rational part of the generating level")
     g.add_argument("--level", type=int, required=True)
     g.add_argument("--range", type=_range_arg, required=True, metavar="A:B")
     g.add_argument("--out", default=None, metavar="FILE")
 
-    for name, help_text in (("hcoeffs", "u_n of one level"),
-                            ("gcoeffs", "v_n of one level")):
-        c = qsub.add_parser(name, help=help_text)
-        _common_flags(c, root=False)
+    for name, coeffs, help_text in (("hcoeffs", h_coeffs, "u_n of one level"),
+                                    ("gcoeffs", g_coeffs, "v_n of one level")):
+        c = _command(qsub, name, partial(cmd_quatuor_coeffs, coeffs=coeffs),
+                     help_text)
         c.add_argument("--in", dest="infile", default=None, metavar="FILE",
                        help="quatuor JSON ('-' for stdin)")
         c.add_argument("--r0", default=None, metavar="EXPR",
@@ -138,19 +145,17 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--level", type=int, default=None)
         c.add_argument("--N", type=int, required=True)
 
-    p = sub.add_parser("poles", help="pole set of a quatuor over levels")
-    _common_flags(p, root=False)
+    p = _command(sub, "poles", cmd_poles, "pole set of a quatuor over levels")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--levels", type=_levels_arg, required=True,
                    metavar="LIST")
 
-    p = sub.add_parser("eset", help="exceptional set of a rational function")
-    _common_flags(p, root=False)
+    p = _command(sub, "eset", cmd_eset,
+                 "exceptional set of a rational function")
     p.add_argument("--g", required=True, metavar="EXPR",
                    help="rational function of s")
 
-    p = sub.add_parser("eval", help="certified series evaluation")
-    _common_flags(p, root=False)
+    p = _command(sub, "eval", cmd_eval, "certified series evaluation")
     p.add_argument("family", choices=("kolberg", "sharp", "example0"))
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--r", type=_fraction_arg, default=Fraction(0),
@@ -163,8 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verification suites")
     vsub = p.add_subparsers(dest="verify_command", required=True)
 
-    v = vsub.add_parser("identity", help="certify K(x,r) = F(t,r)")
-    _common_flags(v, root=False)
+    v = _command(vsub, "identity", cmd_verify_identity,
+                 "certify K(x,r) = F(t,r)")
     v.add_argument("--r0", default=None, metavar="EXPR")
     v.add_argument("--in", dest="infile", default=None, metavar="FILE")
     v.add_argument("--level", type=int, default=None)
@@ -176,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault-inject one series coefficient (the check "
                         "is then expected to fail)")
 
-    v = vsub.add_parser("table", help="recompute the closed-form u_n table")
-    _common_flags(v, root=False)
+    v = _command(vsub, "table", cmd_verify_table,
+                 "recompute the closed-form u_n table")
     v.add_argument("--N", type=int, default=7)
 
-    v = vsub.add_parser("roundtrip", help="random transform roundtrips")
-    _common_flags(v, root=False)
+    v = _command(vsub, "roundtrip", cmd_verify_roundtrip,
+                 "random transform roundtrips")
     v.add_argument("--count", type=int, default=50)
     v.add_argument("--order", type=int, default=30)
     v.add_argument("--seed", type=int, default=0)
@@ -245,10 +250,8 @@ def cmd_quatuor_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_quatuor_coeffs(args, which: str) -> int:
-    F = _level_function(args)
-    seq = h_coeffs(F, args.N) if which == "hcoeffs" else g_coeffs(F, args.N)
-    _print_sequence(seq, args.json)
+def cmd_quatuor_coeffs(args, coeffs) -> int:
+    _print_sequence(coeffs(_level_function(args), args.N), args.json)
     return EXIT_OK
 
 
@@ -293,10 +296,9 @@ def cmd_eval(args) -> int:
     if args.json:
         print(result_to_json(res))
     else:
-        with mpmath.workprec(res.precision_bits):
-            digits = max(int(res.precision_bits * 0.30103) - 2, 10)
-            print(f"value       = {mpmath.nstr(res.value, digits)}")
-            print(f"error bound <= {mpmath.nstr(res.error_bound, 5)}")
+        digits = max(int(res.precision_bits * 0.30103) - 2, 10)
+        print(f"value       = {mpmath.nstr(res.value, digits)}")
+        print(f"error bound <= {mpmath.nstr(res.error_bound, 5)}")
         print(f"terms = {res.terms_used}, "
               f"precision bits = {res.precision_bits}")
     return EXIT_OK
@@ -308,15 +310,14 @@ def cmd_verify_identity(args) -> int:
     cert = check_identity(F, args.r, args.x, args.tol, args.prec,
                           perturb=perturb)
     if args.json:
-        with mpmath.workprec(cert.precision_bits):
-            print(json.dumps({
-                "passed": cert.passed,
-                "form": cert.form,
-                "residual": mpmath.nstr(cert.residual, 8),
-                "slack": mpmath.nstr(cert.slack, 8),
-                "terms": cert.terms_used,
-                "precision_bits": cert.precision_bits,
-            }, indent=2))
+        print(json.dumps({
+            "passed": cert.passed,
+            "form": cert.form,
+            "residual": mpmath.nstr(cert.residual, 8),
+            "slack": mpmath.nstr(cert.slack, 8),
+            "terms": cert.terms_used,
+            "precision_bits": cert.precision_bits,
+        }, indent=2))
     else:
         print(str(cert))
     return EXIT_OK if cert.passed else EXIT_VERIFY
@@ -359,36 +360,11 @@ def cmd_verify_roundtrip(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "assoc":
-            return cmd_assoc(args)
-        if args.command == "quatuor":
-            if args.quatuor_command == "gen":
-                return cmd_quatuor_gen(args)
-            return cmd_quatuor_coeffs(args, args.quatuor_command)
-        if args.command == "poles":
-            return cmd_poles(args)
-        if args.command == "eset":
-            return cmd_eset(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "verify":
-            if args.verify_command == "identity":
-                return cmd_verify_identity(args)
-            if args.verify_command == "table":
-                return cmd_verify_table(args)
-            return cmd_verify_roundtrip(args)
-        parser.error(f"unknown command {args.command!r}")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args)
     except (json.JSONDecodeError, KeyError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfertileError as exc:
         print(f"infertile: {exc}", file=sys.stderr)
@@ -402,7 +378,7 @@ def run(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"error: division by zero: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -386,15 +386,13 @@ class EvalResult:
 
 def result_to_json(res: EvalResult) -> str:
     import json
-    with _working(res.precision_bits):
-        digits = max(int(res.precision_bits * 0.30103) - 2, 10)
-        obj = {
-            "value": mpmath.nstr(res.value, digits),
-            "error_bound": mpmath.nstr(res.error_bound, 5),
-            "terms": res.terms_used,
-            "precision_bits": res.precision_bits,
-        }
-    return json.dumps(obj, indent=2)
+    digits = max(int(res.precision_bits * 0.30103) - 2, 10)
+    return json.dumps({
+        "value": mpmath.nstr(res.value, digits),
+        "error_bound": mpmath.nstr(res.error_bound, 5),
+        "terms": res.terms_used,
+        "precision_bits": res.precision_bits,
+    }, indent=2)
 
 
 def _tail_after(K0: Fraction, delta: int, q: Fraction, N: int,
@@ -818,27 +816,36 @@ def _h_tail_params(R_t: RatFunc, r: Fraction, x: Fraction):
                 else:
                     break
             constraints.append((abs(rho), mult))
-    # 'work' now has no rational roots; w_0 != 0 since t = 0 was excluded
+    # 'work' now has no rational roots; w_0 != 0 since t = 0 was excluded.
+    # tau starts below 7/8 of every rational pole radius and only shrinks,
+    # so rad - tau > 0 throughout.  As tau shrinks, the lower bound
+    # lw = |w_0| - sum_{i>=1} |w_i| tau^i on |work| grows, and so does
+    # zeta: for tau <= 9/10, exp_ub(tau) is one polynomial p (K = 24) and
+    # tau p'(tau) - p(tau) <= e^tau (tau - 1) + 48 tau^25/25! < 0, so
+    # p(tau)/tau decreases in tau.  Hence the first tau with lw > 0 gives
+    # the smallest zeta of every admissible tau, and when that zeta is at
+    # least 1 no smaller tau can certify the tail.
     tau = Fraction(9, 10)
     for rad, _ in constraints:
         tau = min(tau, Fraction(7, 8) * rad)
     for _ in range(300):
         lw = abs(work.coeff(0)) - sum(
             abs(work.coeff(i)) * tau ** i for i in range(1, work.degree + 1))
-        zeta = abs(x) * exp_ub(tau) / tau
-        if lw > 0 and zeta < 1 and all(rad > tau for rad, _ in constraints):
-            num_bound = sum(abs(c) * tau ** i
-                            for i, c in enumerate(R_t.num.coeffs))
-            den_lower = lw
-            for rad, mult in constraints:
-                den_lower *= (rad - tau) ** mult
-            M = num_bound / den_lower
-            E = exp_ub(abs(r) * tau)
-            return _dyadic_up(M), _dyadic_up(E), _dyadic_up(zeta)
+        if lw > 0:
+            break
         tau = tau * Fraction(3, 4)
-    raise DomainError(
-        "no certified radius for the tail bound; |x| may be too large "
-        "for this level's pole structure")
+    zeta = abs(x) * exp_ub(tau) / tau
+    if lw <= 0 or zeta >= 1:
+        raise DomainError(
+            "no certified radius for the tail bound; |x| may be too large "
+            "for this level's pole structure")
+    num_bound = sum(abs(c) * tau ** i for i, c in enumerate(R_t.num.coeffs))
+    den_lower = lw
+    for rad, mult in constraints:
+        den_lower *= (rad - tau) ** mult
+    M = num_bound / den_lower
+    E = exp_ub(abs(r) * tau)
+    return _dyadic_up(M), _dyadic_up(E), _dyadic_up(zeta)
 
 
 def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,

@@ -15,8 +15,8 @@ parser) does not add or multiply field elements term by term: it
 writes its inputs as integer numerators over one common denominator
 (_integer_numerators), works on those, and builds each output value once.
 The parser evaluates on integer arrays in Z[y][t] (_zzy_sum,
-_zzy_product); the printer writes Q(y)(t) elements over one common
-denominator in Q[y].
+_zzy_product); the printer writes every element over one common
+denominator of its coefficients.
 
 Every gcd over Q[x] and Q(x)[t] (poly_gcd, poly_lcm, RatFunc.__init__)
 runs on integers: both operands are written over one common denominator
@@ -866,15 +866,8 @@ def substitute_y(R: RatFunc, r: Fraction) -> RatFunc:
     of any coefficient.
     """
     r = QQ.coerce(r)
-
-    def at_r(c: RatFunc) -> Fraction:
-        db = c.den.eval(r)
-        if db == 0:
-            raise PoleError(f"y = {r} is a root of denominator {c.den}")
-        return c.num.eval(r) / db
-
-    num = UniPoly(QQ, "t", [at_r(c) for c in R.num.coeffs])
-    den = UniPoly(QQ, "t", [at_r(c) for c in R.den.coeffs])
+    num = UniPoly(QQ, "t", [c.eval(r) for c in R.num.coeffs])
+    den = UniPoly(QQ, "t", [c.eval(r) for c in R.den.coeffs])
     return RatFunc(num, den)
 
 
@@ -945,9 +938,11 @@ def rational_roots(p: UniPoly) -> set[Fraction]:
 # Canonical printing.
 #
 # Grammar-compatible text: expanded numerator '/' expanded denominator,
-# terms in decreasing degree.  Elements of Q(y)(t) are printed after
-# clearing all y-denominators, so each side is a polynomial in t and y
-# with rational coefficients (e.g. "(t^2*y + y + 2)/y").
+# terms in decreasing degree.  Every element is printed after clearing
+# its coefficient denominators (_integer_numerators), so over Q(y)(t)
+# each side is a polynomial in t and y with rational coefficients
+# (e.g. "(t^2*y + y + 2)/y"); over Q(var) every power of the (absent)
+# inner variable is 0 and _mono_str leaves it out.
 
 
 def _mono_str(c: Fraction, heads: list[tuple[str, int]]) -> str:
@@ -981,15 +976,6 @@ def _join_monos(monos: list[tuple[Fraction, list[tuple[str, int]]]]) -> str:
     return "".join(pieces)
 
 
-def _univar_monos(p: UniPoly):
-    out = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if c != 0:
-            out.append((c, [(p.var, i)]))
-    return out
-
-
 def _bivar_monos(var: str, rows: list, lead: int, inner_var: str):
     out = []
     for i in range(len(rows) - 1, -1, -1):
@@ -1014,20 +1000,13 @@ def format_element(obj) -> str:
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, UniPoly):
-        if isinstance(obj.field, RationalField):
-            return _join_monos(_univar_monos(obj))
-        return format_element(RatFunc(obj, _one_poly(obj.field, obj.var)))
+        obj = RatFunc._reduced(obj, _one_poly(obj.field, obj.var))
     if not isinstance(obj, RatFunc):
         raise TypeError(f"cannot format {obj!r}")
-    if isinstance(obj.num.field, RationalField):
-        num_p, den_p = obj.num, obj.den
-        num_s = _join_monos(_univar_monos(num_p))
-        den_s = _join_monos(_univar_monos(den_p))
-    else:
-        n = len(obj.num.coeffs)
-        rows, den = _integer_numerators(QY, obj.num.coeffs + obj.den.coeffs)
-        num_s = _join_monos(_bivar_monos(obj.var, rows[:n], den[-1], "y"))
-        den_s = _join_monos(_bivar_monos(obj.var, rows[n:], den[-1], "y"))
+    field, n = obj.num.field, len(obj.num.coeffs)
+    rows, den = _integer_numerators(field, obj.num.coeffs + obj.den.coeffs)
+    num_s = _join_monos(_bivar_monos(obj.var, rows[:n], den[-1], field.var))
+    den_s = _join_monos(_bivar_monos(obj.var, rows[n:], den[-1], field.var))
     if den_s == "1":
         return num_s
     if _needs_parens_num(num_s):

@@ -3,7 +3,8 @@
 The transforms, the Taylor series and the tail-order search each run on
 numerators over one common denominator (or on integer mantissas); the
 H series' former order search is kept as the reference for the one
-search that now serves it.  The
+search that now serves it, and the former radius search of the H tail
+(a zeta test at every tau) for the one-radius rule.  The
 loops below are the straightforward versions, which add and multiply
 field elements term by term; they are kept here as references only.
 The heuristic integer gcd, the library's only gcd, is checked against
@@ -16,6 +17,7 @@ forms they replace.
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,8 +28,8 @@ from kolberg import (
     VerificationError, check_identity, diese_generator, diese_quatuor,
     eval_H_series, from_associated, generate_range, kolberg_quatuor,
     linear_combine, parse_qt, parse_qy, parse_qyt, poly_gcd, poly_lcm,
-    print_canonical, quatuor_from_json, quatuor_to_json, shift,
-    substitute_y, taylor_series, to_associated,
+    print_canonical, quatuor_from_json, quatuor_to_json, rational_roots,
+    shift, substitute_y, taylor_series, to_associated,
 )
 from kolberg import numeric, quatuor, rational
 from kolberg.cli import run
@@ -121,6 +123,50 @@ def reference_h_order(M, E, zeta, target):
     while N > 1 and reference_h_tail_after(M, E, zeta, N - 1) <= target:
         N -= 1
     return N
+
+
+def reference_h_tail_params(R_t: RatFunc, r: Fraction, x: Fraction):
+    """The former radius search: zeta and a pole-radius test at each of up
+    to 300 tau, shrinking tau until all of lw > 0, zeta < 1 and the radius
+    test pass."""
+    den = R_t.den
+    constraints = []
+    work = den
+    if den.degree > 0:
+        for rho in sorted(rational_roots(den), key=abs):
+            if rho == 0:
+                raise PoleError("pole at t = 0")
+            mult = 0
+            factor = UniPoly(QQ, "t", [-rho, 1])
+            while True:
+                quot, rem = divmod(work, factor)
+                if rem.is_zero:
+                    work = quot
+                    mult += 1
+                else:
+                    break
+            constraints.append((abs(rho), mult))
+    tau = Fraction(9, 10)
+    for rad, _ in constraints:
+        tau = min(tau, Fraction(7, 8) * rad)
+    for _ in range(300):
+        lw = abs(work.coeff(0)) - sum(
+            abs(work.coeff(i)) * tau ** i for i in range(1, work.degree + 1))
+        zeta = abs(x) * numeric.exp_ub(tau) / tau
+        if lw > 0 and zeta < 1 and all(rad > tau for rad, _ in constraints):
+            num_bound = sum(abs(c) * tau ** i
+                            for i, c in enumerate(R_t.num.coeffs))
+            den_lower = lw
+            for rad, mult in constraints:
+                den_lower *= (rad - tau) ** mult
+            M = num_bound / den_lower
+            E = numeric.exp_ub(abs(r) * tau)
+            return (numeric._dyadic_up(M), numeric._dyadic_up(E),
+                    numeric._dyadic_up(zeta))
+        tau = tau * Fraction(3, 4)
+    raise DomainError(
+        "no certified radius for the tail bound; |x| may be too large "
+        "for this level's pole structure")
 
 
 def random_q(rng):
@@ -291,6 +337,53 @@ class TestSeriesOrder:
             eval_H_series(F, r, x, None, 256, 2 * target)
         with pytest.raises(DomainError, match="term cap"):
             check_identity(F, r, x, 8 * target)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestTailParams:
+    """The one-radius rule of _h_tail_params against the former search."""
+
+    def test_matches_former_search(self):
+        levels = [diese_quatuor(-2, 2).level(k) for k in (-2, 0, 2)] \
+            + [kolberg_quatuor(-1, 1).level(k) for k in (-1, 1)]
+        cases = [(substitute_y(F.R, r), r, x)
+                 for F in levels
+                 for r in (Fraction(1, 2), Fraction(5, 2))
+                 for x in (Fraction(1, 10), Fraction(-1, 5), Fraction(9, 25))]
+        rng = random.Random(26)
+        for _ in range(24):
+            num = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 3))]
+            den = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(rng.randint(1, 4))]
+            if all(c == 0 for c in den):
+                continue
+            R_t = RatFunc(UniPoly(QQ, "t", num), UniPoly(QQ, "t", den))
+            cases.append((R_t, Fraction(rng.randint(-5, 5), 2),
+                          Fraction(rng.choice((1, -1)), rng.randint(3, 10))))
+        refusals = 0
+        for R_t, r, x in cases:
+            got = _outcome(numeric._h_tail_params, R_t, r, x)
+            assert got == _outcome(reference_h_tail_params, R_t, r, x), \
+                (R_t, r, x)
+            refusals += isinstance(got[0], str)
+        assert 0 < refusals < len(cases)
+
+    @pytest.mark.parametrize("text", ["1/(t - 3)", "1/(t^3 - 3*t + 3)", "1"])
+    def test_refusal_is_immediate(self, text):
+        # zeta >= 1 at the first tau whose lower bound on the pole-free
+        # factor is positive: refused without shrinking tau further
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="no certified radius"):
+            numeric._h_tail_params(parse_qt(text), Fraction(1, 2),
+                                   Fraction(367, 1000))
+        assert time.perf_counter() - start < 0.1
 
 
 def q_poly(rng, deg, var="y"):
