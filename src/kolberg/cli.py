@@ -22,8 +22,8 @@ from .assoc import (
     to_associated,
 )
 from .numeric import (
-    SeriesSpec, check_identity, eval_theorem_series, result_to_json,
-    tol_fraction,
+    MAX_PRECISION, MIN_PRECISION, SeriesSpec, check_identity,
+    eval_theorem_series, result_to_json, tol_fraction,
 )
 from .parsing import (
     ParseError, parse_poly, parse_qs, parse_qyt, print_canonical,
@@ -96,7 +96,9 @@ def _common_flags(parser, root: bool):
                         default=default(False),
                         help="machine-readable JSON on stdout")
     parser.add_argument("--prec", type=int, default=default(256),
-                        metavar="BITS", help="working precision in bits")
+                        metavar="BITS",
+                        help="working precision in bits, "
+                             f"{MIN_PRECISION} to {MAX_PRECISION}")
 
 
 def _command(sub, name: str, handler, help_text: str):

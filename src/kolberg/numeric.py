@@ -8,14 +8,21 @@ sign, plus a relative error rho: the exact term lies within a factor
 fixed-point kernel (_kernel_terms): powers and the running x^n/n! are
 carried as mantissas of about W + 64 bits with a binary exponent,
 floored after each product, and rho counts those floors.  The H series
-and custom-H terms are exact integer pairs, rho = 0.  Each num/den is
-floored to W fractional bits, (num << W) // den.  A floor errs by less
-than one unit of 2^-W (by nothing when the division is exact), so for
-the integer sum S of the floors of count terms the exact partial sum
-lies in [S, S + count] * 2^-W, widened by the sum of the terms'
-|num/den| * rho; that interval is converted to binary with outward
-rounding.  W is chosen from the term count, the tolerance and the
-precision,
+and custom-H terms are exact integer pairs, rho = 0.  The H-series pairs
+are built on integers from end to end: the Taylor recurrence gives
+v_m = V_m / D over one denominator, u_n = U_n / D is their Horner sum
+(_h_u_values), and term n is (U_n xp^n, D xq^n n!) (_h_terms).  No
+step reduces or normalises, and none needs to: a floor below depends
+only on the value of num/den, so the ball is the one the reduced u_n
+give.
+
+Each num/den is floored to W fractional bits, (num << W) // den.  A
+floor errs by less than one unit of 2^-W (by nothing when the division
+is exact), so for the integer sum S of the floors of count terms the
+exact partial sum lies in [S, S + count] * 2^-W, widened by the sum of
+the terms' |num/den| * rho; that interval is converted to binary with
+outward rounding.  W is chosen from the term count, the tolerance and
+the precision,
 
     W = max(precision + GUARD_BITS, ceil(log2(count / tol)) + 16)
         + bitlen(count),
@@ -27,7 +34,8 @@ bounded by elementary inequalities evaluated as exact rationals
 (rounded only upward), and the few genuinely irrational quantities
 (e^t, t^r, the tree-function branch) are enclosed in interval
 arithmetic at the working precision.  The working precision is the
-requested precision plus a fixed number of guard bits.
+requested precision, MIN_PRECISION to MAX_PRECISION bits, plus a fixed
+number of guard bits.
 
 Tail bounds use three facts, each elementary:
   * n! >= (n/e)^n, since e^n = sum n^k/k! >= n^n/n!;
@@ -46,6 +54,7 @@ built and up to the term cap _TERM_CAP.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -55,9 +64,8 @@ from functools import lru_cache
 import mpmath
 from mpmath import iv, mp
 
-from .assoc import CoeffSeq, from_associated
 from .parsing import MAX_DIGITS
-from .quatuor import AdHocFunction, taylor_series
+from .quatuor import AdHocFunction, _taylor_v_integers
 from .rational import (
     QQ, QYT, DomainError, PoleError, RatFunc, UniPoly,
     rational_roots, substitute_y,
@@ -65,6 +73,13 @@ from .rational import (
 
 GUARD_BITS = 32
 MAX_TOL_EXPONENT = 100_000     # 10^100000 takes about 10 ms to build
+# Working precision range in bits.  mpmath runs at the precision and the
+# fixed-point width follows it; at 65536 bits `eval kolberg --x 1/10` took
+# 0.5 s and `verify identity` on the dièse generator at x = 1/10 took
+# 4.8 s, against 1.0 s and 10.4 s at 100000 bits (2-vCPU Xeon VM, Python
+# 3.11, mpmath without gmpy2).
+MIN_PRECISION = 64
+MAX_PRECISION = 65536
 
 
 # mpmath's precision is global to the process; _working holds this lock
@@ -74,12 +89,19 @@ MAX_TOL_EXPONENT = 100_000     # 10^100000 takes about 10 ms to build
 _PRECISION_LOCK = threading.RLock()
 
 
+def _require_bits(precision: int):
+    """ValueError unless MIN_PRECISION <= precision <= MAX_PRECISION."""
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be at most {MAX_PRECISION} bits")
+
+
 class _working:
     """Temporarily raise both mpmath contexts to precision + guard."""
 
     def __init__(self, precision: int):
-        if precision < 64:
-            raise ValueError("precision must be at least 64 bits")
+        _require_bits(precision)
         self.prec = precision + GUARD_BITS
 
     def __enter__(self):
@@ -164,25 +186,6 @@ def _eval_ratfunc_iv(R: RatFunc, t):
 # -- exact rational upper bounds ------------------------------------------
 
 
-def exp_ub(z: Fraction) -> Fraction:
-    """A rational upper bound on e^z, z >= 0, by truncation plus slack."""
-    z = Fraction(z)
-    if z < 0:
-        raise ValueError("exp_ub needs z >= 0")
-    K = max(2 * (int(z) + 1), 24)
-    s = Fraction(0)
-    term = Fraction(1)
-    for k in range(K + 1):
-        s += term
-        term = term * z / (k + 1)
-    # term = z^(K+1)/(K+1)! and the remaining ratio is at most
-    # z/(K+2) <= 1/2, so the full tail is below 2*term.
-    return s + 2 * term
-
-
-E_UB = exp_ub(Fraction(1))
-
-
 def _dyadic_up(fr: Fraction, bits: int = 64) -> Fraction:
     """Round a nonnegative rational up to a short dyadic, keeping >=."""
     if fr == 0:
@@ -193,6 +196,56 @@ def _dyadic_up(fr: Fraction, bits: int = 64) -> Fraction:
         return Fraction(num, 1 << shift)
     num = -((-fr.numerator) // (fr.denominator << -shift))
     return Fraction(num << -shift)
+
+
+# Largest argument of exp_ub, refused above before any work: the bound on
+# e^z is an integer of about 1.44 z bits.  At z = 10^6 exp_ub took 6 ms
+# and kolberg/sharp family sums with r = 10^6 took 0.05-0.12 s (2-vCPU
+# Xeon VM, Python 3.11); at z = 10^7 exp_ub took 0.09 s and one such sum
+# 1.9 s.
+MAX_EXP_ARG = 1_000_000
+
+
+def exp_ub(z: Fraction) -> Fraction:
+    """A rational upper bound on e^z, 0 <= z <= MAX_EXP_ARG.
+
+    For z <= 64 the Taylor sum is truncated at K = max(2 (floor(z) + 1),
+    24) terms and the rest bounded by twice the next term.  Above 64, z is
+    halved k times to z' <= 1, and the loop's bound b >= e^(z') is
+    rounded up to 96 bits and squared k times, each square rounded up to
+    96 bits.  Squaring keeps b >= e^(z' 2^i) at every step and rounding up
+    keeps it, so the result is at least e^z.  Its relative excess doubles
+    with each squaring; it was about 1e-25 at z = 3000.  z above
+    MAX_EXP_ARG raises DomainError.
+    """
+    z = Fraction(z)
+    if z < 0:
+        raise ValueError("exp_ub needs z >= 0")
+    if z > MAX_EXP_ARG:
+        raise DomainError(
+            f"bound on e^z refused: z exceeds {MAX_EXP_ARG}")
+    halvings = 0
+    if z > 64:
+        while z > 1:
+            z /= 2
+            halvings += 1
+    K = max(2 * (int(z) + 1), 24)
+    s = Fraction(0)
+    term = Fraction(1)
+    for k in range(K + 1):
+        s += term
+        term = term * z / (k + 1)
+    # term = z^(K+1)/(K+1)! and the remaining ratio is at most
+    # z/(K+2) <= 1/2, so the full tail is below 2*term.
+    bound = s + 2 * term
+    if halvings:
+        bound = _dyadic_up(bound, 96)
+        for _ in range(halvings):
+            bound = _dyadic_up(bound * bound, 96)
+    return bound
+
+
+E_UB = exp_ub(Fraction(1))
 
 
 def require_x_domain(x: Fraction):
@@ -769,6 +822,7 @@ def eval_theorem_series(spec: SeriesSpec, precision: int = 256,
     reported error bound covers the series tail, the kernel's and the
     fixed-point radius and the conversion of the sum to binary.
     """
+    _require_bits(precision)
     tol = tol_fraction(target_tol)
     terms, n_start, K0, delta, q, bound_from = _family_plan(spec)
     N, tail = _series_order(n_start, K0, delta, q, bound_from, tol / 2)
@@ -782,11 +836,37 @@ def eval_theorem_series(spec: SeriesSpec, precision: int = 256,
 
 @lru_cache(maxsize=256)
 def _h_u_values(R_t: RatFunc, r: Fraction, N: int) -> tuple:
-    """u_0(r)..u_N(r) for H(x, r), via the associated-series transform."""
-    series = taylor_series(R_t, N, r)
-    v = CoeffSeq("v", QQ, tuple(
-        c * math.factorial(n) for n, c in enumerate(series)))
-    return from_associated(v).values
+    """(U, D) with u_n(r) = U[n] / D, n = 0..N, exact integers, D > 0.
+
+    The v_m = m! [t^m] R_t(t) e^{r t} come from the Taylor recurrence as
+    integers V[m] over one denominator D (_taylor_v_integers), and the
+    inverse associated-series transform u_n = sum_{m=1..n} C(n-1, m-1)
+    n^(n-m) v_m is summed over that same D in Horner form,
+
+        acc = acc n + C(n-1, j) V[n-j],  j = n-1, ..., 0,
+
+    which multiplies the accumulator only by n and each V only by a
+    binomial of about n bits.  Nothing is reduced, so every U[n] / D is
+    exactly the u_n that from_associated would return.  Over Q(y) the
+    transforms keep their weight rows (assoc._from_weights): there a
+    Horner sum per coefficient column was slower than the dot products,
+    0.232 s against 0.223 s for h_coeffs to order 40 on the 11 dièse and
+    Kolberg levels.  Over Q this function beat from_associated 1.9x at
+    N = 120 and 3.5x at N = 812 (dièse level 0, r = 1/2).
+    """
+    V, D = _taylor_v_integers(R_t, N, r)
+    U = [V[0]]
+    row = [1]                       # C(n-1, j), j = 0..n-1
+    V1 = V[1:]
+    for n in range(1, N + 1):
+        if n > 1:
+            row = list(map(operator.add, row + [0], [0] + row))
+        acc = 0
+        # the row is symmetric, so C(n-1, j) pairs with V[n-j] in order
+        for c, v in zip(row, V1):
+            acc = acc * n + c * v
+        U.append(acc)
+    return tuple(U), D
 
 
 def _h_tail_params(R_t: RatFunc, r: Fraction, x: Fraction):
@@ -850,7 +930,7 @@ def _h_tail_params(R_t: RatFunc, r: Fraction, x: Fraction):
 
 def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,
             N: int | None = None):
-    """(R_t, N, tail, u_0..u_N) for the H series of F at y = r and x.
+    """(R_t, N, tail, (U, D)) for the H series of F at y = r and x.
 
     |u_n x^n/n!| <= M E zeta^n is the families' dominance form
     K0 n^delta q^n with K0 = M E, delta = 0 and q = zeta, so N and its
@@ -867,10 +947,21 @@ def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,
     return R_t, N, tail, _h_u_values(R_t, r, N)
 
 
-def _h_terms(u, x: Fraction):
-    """The exact terms u_n x^n / n! for the u_n in u, for _ball_sum."""
-    return _scaled_terms(lambda n: _pair(u[n]), x.numerator, x.denominator,
-                         0, len(u) - 1)
+def _h_terms(u, x: Fraction, perturb=None):
+    """The exact terms u_n x^n / n! of u = (U, D), for _ball_sum.
+
+    Term n is the integer pair (U[n] xp^n, D xq^n n!) for x = xp/xq, with
+    no reduction; perturb maps indices to offsets delta = p/q added to
+    u_n exactly, as the pair (U[n] q + p D, D q).
+    """
+    U, D = u
+    pairs = {}
+    for idx, delta in (perturb or {}).items():
+        if 0 <= idx < len(U):
+            p, q = _pair(delta)
+            pairs[idx] = (U[idx] * q + p * D, D * q)
+    return _scaled_terms(lambda n: pairs.get(n) or (U[n], D),
+                         x.numerator, x.denominator, 0, len(U) - 1)
 
 
 def eval_H_series(F: AdHocFunction, r, x, N: int | None = None,
@@ -882,6 +973,7 @@ def eval_H_series(F: AdHocFunction, r, x, N: int | None = None,
     the tail, the fixed-point radius and the conversion to binary, and a
     precision that cannot meet target_tol raises DomainError.
     """
+    _require_bits(precision)
     r = Fraction(r)
     x = require_x_domain(x)
     tol = tol_fraction(target_tol)
@@ -925,20 +1017,17 @@ def check_identity(F: AdHocFunction, r, x, tol="1e-30",
     (a fault-injection hook for validating that the certificate can
     fail).
     """
+    _require_bits(precision)
     r = Fraction(r)
     x = require_x_domain(x)
     tol_f = tol_fraction(tol)
     R_t, N, tail, u = _h_plan(F, r, x, tol_f / 8)
-    if perturb:
-        u = list(u)
-        for idx, delta in perturb.items():
-            if 0 <= idx <= N:
-                u[idx] += Fraction(delta)
     with _working(precision):
         t_iv = tree_t_interval(x, precision)
         tail_sym = iv.mpf([-_mpf_from_fraction(tail),
                            _mpf_from_fraction(tail)])
-        ball = _ball_sum(_h_terms(u, x), N + 1, tol_f, precision)
+        ball = _ball_sum(_h_terms(u, x, perturb), N + 1, tol_f,
+                         precision)
         _require_precision(ball, tol_f, tol, precision)
         H_iv = ball + tail_sym
         if x > 0 or r.denominator == 1:

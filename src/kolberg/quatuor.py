@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .assoc import CoeffSeq, from_associated
 from .parsing import parse_qyt, print_canonical
@@ -26,7 +28,7 @@ from .rational import (
     QQ, QT, QY, QYT,
     DomainError, PoleError, RatFunc, UniPoly,
     rational_roots, substitute_y,
-    _from_integers, _int_product, _int_sum, _integer_numerators,
+    _clear, _from_integers, _int_product, _int_sum, _integer_numerators,
 )
 
 T = QYT.gen
@@ -266,58 +268,127 @@ def linear_combine(terms) -> Quatuor:
     return Quatuor(lo, [AdHocFunction(R) for R in combined], gen)
 
 
-def taylor_series(R: RatFunc, N: int, mu) -> list:
-    """Coefficients c_0..c_N of R(t) * e^{mu*t} around t = 0.
+class _Arith(NamedTuple):
+    """Integer coefficient arithmetic for _taylor_numerators: plain ints
+    over Q, integer coefficient lists in y over Q(y)."""
 
-    Generic over the coefficient ring of R (Q or Q(y)); mu must live in
-    that ring.  The work runs fraction-free on integer polynomials in y
-    (integers, over Q).  The denominators of the numerator and of the
-    denominator of R are cleared separately, R = (b/a) * P(t)/Q(t), and
-    mu = m/q; the coefficients of Q * (P/Q) e^{mu t} = P e^{mu t} give
+    zero: object
+    one: object
+    mul: Callable
+    add: Callable
+    scale: Callable     # by a plain int
 
-        c_k = b S_k / (a Q_0^(k+1) q^k k!),
-        S_k = Q_0^k sum_{i>=0} P_i m^(k-i) q^i k!/(k-i)!
-              - sum_{i>=1} Q_i S_(k-i) Q_0^(i-1) q^i k!/(k-i)!,
 
-    which needs Q_0 = Q(0) != 0.  Each c_k is normalised once.
+_INTS = _Arith(0, 1, operator.mul, operator.add, operator.mul)
+_ROWS = _Arith([], [1], _int_product, _int_sum,
+               lambda p, c: [x * c for x in p])
+
+
+def _taylor_parts(R: RatFunc, mu):
+    """(P, Q, m, q, a, b, arith) with R = (b/a) P(t)/Q(t) and mu = m/q.
+
+    Over Q the entries are plain ints and arith is _INTS; over Q(y) they
+    are integer coefficient lists in y and arith is _ROWS.
     """
-    if N < 0:
-        raise ValueError(f"order N must be nonnegative, got {N}")
     ring = R.num.field
     num, den = R.num, R.den
     if den.coeff(0) == ring.zero:
         raise PoleError(f"pole at {R.var} = 0: denominator {den}")
     mu = ring.coerce(mu)
+    if ring is QQ:
+        P, a = _clear(num.coeffs)
+        Q, b = _clear(den.coeffs)
+        return P, Q, mu.numerator, mu.denominator, a, b, _INTS
     P, a = _integer_numerators(ring, num.coeffs)
     Q, b = _integer_numerators(ring, den.coeffs)
     (m,), q = _integer_numerators(ring, [mu])
-    mul = _int_product
+    return P, Q, m, q, a, b, _ROWS
+
+
+def _taylor_numerators(P, Q, m, q, N: int, arith: _Arith) -> list:
+    """S_0..S_N of taylor_series' recurrence, in the integer arithmetic
+    arith, for R = (b/a) P/Q and mu = m/q: c_k = b S_k / (a Q_0^(k+1)
+    q^k k!)."""
+    zero, one, mul, add, scale = arith
     width = max(len(P), len(Q))
-    m_pow, q_pow, Q0_pow = [[1]], [[1]], [[1]]
+    m_pow, q_pow, Q0_pow = [one], [one], [one]
     for _ in range(N):
         m_pow.append(mul(m_pow[-1], m))
     for _ in range(min(N, width)):
         q_pow.append(mul(q_pow[-1], q))
     S = []
-    out = []
-    d_k = mul(a, Q[0])              # a Q_0^(k+1) q^k k!
     for k in range(N + 1):
         if k > 0:
             Q0_pow.append(mul(Q0_pow[-1], Q[0]))
-            d_k = [c * k for c in mul(mul(d_k, Q[0]), q)]
         ff = 1                      # k!/(k-i)!
-        head, tail = [], []
+        head = tail = zero
         for i in range(min(k, width - 1) + 1):
             if i < len(P):
-                head = _int_sum(head, [c * ff for c in mul(
-                    mul(P[i], m_pow[k - i]), q_pow[i])])
+                head = add(head, scale(mul(mul(P[i], m_pow[k - i]),
+                                           q_pow[i]), ff))
             if 1 <= i < len(Q):
-                tail = _int_sum(tail, [c * ff for c in mul(mul(
-                    mul(Q[i], S[k - i]), Q0_pow[i - 1]), q_pow[i])])
+                tail = add(tail, scale(mul(mul(mul(Q[i], S[k - i]),
+                                               Q0_pow[i - 1]), q_pow[i]), ff))
             ff *= k - i
-        S.append(_int_sum(mul(Q0_pow[k], head), [-c for c in tail]))
-        out.append(_from_integers(ring, mul(b, S[k]), d_k))
+        S.append(add(mul(Q0_pow[k], head), scale(tail, -1)))
+    return S
+
+
+def taylor_series(R: RatFunc, N: int, mu) -> list:
+    """Coefficients c_0..c_N of R(t) * e^{mu*t} around t = 0.
+
+    Generic over the coefficient ring of R (Q or Q(y)); mu must live in
+    that ring.  The work runs fraction-free on integer polynomials in y
+    (plain integers, over Q).  The denominators of the numerator and of
+    the denominator of R are cleared separately, R = (b/a) * P(t)/Q(t),
+    and mu = m/q; the coefficients of Q * (P/Q) e^{mu t} = P e^{mu t} give
+
+        c_k = b S_k / (a Q_0^(k+1) q^k k!),
+        S_k = Q_0^k sum_{i>=0} P_i m^(k-i) q^i k!/(k-i)!
+              - sum_{i>=1} Q_i S_(k-i) Q_0^(i-1) q^i k!/(k-i)!,
+
+    which needs Q_0 = Q(0) != 0.  _taylor_numerators runs the recurrence;
+    each c_k is normalised once here.
+    """
+    if N < 0:
+        raise ValueError(f"order N must be nonnegative, got {N}")
+    ring = R.num.field
+    P, Q, m, q, a, b, arith = _taylor_parts(R, mu)
+    mul, scale = arith.mul, arith.scale
+    out = []
+    d_k = mul(a, Q[0])              # a Q_0^(k+1) q^k k!
+    for k, S_k in enumerate(_taylor_numerators(P, Q, m, q, N, arith)):
+        if k > 0:
+            d_k = scale(mul(mul(d_k, Q[0]), q), k)
+        if arith is _INTS:
+            out.append(Fraction(b * S_k, d_k))
+        else:
+            out.append(_from_integers(ring, mul(b, S_k), d_k))
     return out
+
+
+def _taylor_v_integers(R: RatFunc, N: int, mu: Fraction
+                       ) -> tuple[list, int]:
+    """(V, D) with V[k] / D = k! c_k for the c_k of taylor_series, R over Q.
+
+    From c_k = b S_k / (a Q_0^(k+1) q^k k!): with g = Q_0 q, every k! c_k
+    is b S_k g^(N-k) over the one denominator a Q_0 g^N; signs are then
+    flipped so that D > 0.  Nothing is normalised.
+    """
+    if N < 0:
+        raise ValueError(f"order N must be nonnegative, got {N}")
+    P, Q, m, q, a, b, arith = _taylor_parts(R, mu)
+    S = _taylor_numerators(P, Q, m, q, N, arith)
+    g = Q[0] * q
+    V = [0] * (N + 1)
+    f = b                           # b g^(N-k)
+    for k in range(N, -1, -1):
+        V[k] = S[k] * f
+        f *= g
+    D = a * Q[0] * g ** N
+    if D < 0:
+        V, D = [-v for v in V], -D
+    return V, D
 
 
 def g_coeffs(F: AdHocFunction, N: int) -> CoeffSeq:

@@ -88,6 +88,27 @@ class TestExitCodes:
         assert "root search" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("r, message", [
+        ("3000", "cannot meet tolerance"),
+        ("1000000001/2", "bound on e^z refused"),
+    ], ids=["r-3000", "r-half-billion"])
+    def test_large_r_is_4_quickly(self, r, message):
+        # e^|r| is bounded by squaring above |r| = 64 and refused above
+        # numeric.MAX_EXP_ARG; the exact Taylor loop took 7.5 s at 3000
+        # and did not finish at 5e8
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kolberg.cli", "eval", "kolberg",
+             "--a", "1", "--r", r, "--x", "1/10"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("domain error:")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestParseLimits:
     """Nesting depth and power size are bounded: exit 2, no traceback."""
@@ -139,8 +160,8 @@ PAYLOADS = {
 
 
 class TestRejectedArguments:
-    """Unreadable tolerances, negative orders and malformed JSON shapes:
-    exit 2, no traceback."""
+    """Unreadable tolerances, negative orders, malformed JSON shapes and
+    precisions above numeric.MAX_PRECISION: exit 2, no traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["eval", "kolberg", "--x", "1/10", "--tol", "abc"],
@@ -161,12 +182,14 @@ class TestRejectedArguments:
         ["assoc", "--dir", "fwd", "--in", "LIST"],
         ["assoc", "--dir", "fwd", "--in", "S_COEFFS_INT"],
         ["assoc", "--dir", "fwd", "--in", "S_COEFFS_INTS"],
+        ["eval", "kolberg", "--x", "1/10", "--prec", "1000000"],
+        IDENTITY + ["--prec", "65537"],
     ], ids=["tol-abc", "tol-inf", "tol-exponent", "inject-abc",
             "inject-inf", "assoc-N", "gcoeffs-N", "table-N",
             "roundtrip-order", "roundtrip-count", "quatuor-no-levels",
             "quatuor-list", "quatuor-levels-list", "quatuor-level-int",
             "quatuor-gen-level-list", "sequence-list", "sequence-coeffs-int",
-            "sequence-coeffs-ints"])
+            "sequence-coeffs-ints", "eval-prec", "identity-prec"])
     def test_exit_2_without_traceback(self, argv, tmp_path):
         for name, text in PAYLOADS.items():
             (tmp_path / name).write_text(text)

@@ -31,7 +31,7 @@ from kolberg import (
     print_canonical, quatuor_from_json, quatuor_to_json, rational_roots,
     shift, substitute_y, taylor_series, to_associated,
 )
-from kolberg import numeric, quatuor, rational
+from kolberg import assoc, numeric, quatuor, rational
 from kolberg.cli import run
 from test_parsing import random_qyt
 
@@ -384,6 +384,197 @@ class TestTailParams:
             numeric._h_tail_params(parse_qt(text), Fraction(1, 2),
                                    Fraction(367, 1000))
         assert time.perf_counter() - start < 0.1
+
+
+def reference_h_u_values(R_t: RatFunc, r: Fraction, N: int) -> tuple:
+    """u_0..u_N the former way: Taylor coefficients normalised by
+    taylor_series, times n!, then from_associated over Q."""
+    series = taylor_series(R_t, N, r)
+    v = CoeffSeq("v", QQ, tuple(
+        c * math.factorial(n) for n, c in enumerate(series)))
+    return from_associated(v).values
+
+
+def reference_h_terms(u, x: Fraction):
+    """The former terms: each reduced u_n as its own pair."""
+    return numeric._scaled_terms(
+        lambda n: (u[n].numerator, u[n].denominator),
+        x.numerator, x.denominator, 0, len(u) - 1)
+
+
+def as_common_denominator(u) -> tuple:
+    """Reduced u_n as (U, D), U[n] / D = u_n over D = lcm of denominators."""
+    D = math.lcm(*(c.denominator for c in u))
+    return tuple(c.numerator * (D // c.denominator) for c in u), D
+
+
+def h_cases():
+    """(label, R_t, r) on dièse and Kolberg levels -2..3, at four r."""
+    for name, q in (("diese", diese_quatuor(-2, 3)),
+                    ("kolberg", kolberg_quatuor(-2, 3))):
+        for k in range(-2, 4):
+            for r in (Fraction(1, 2), Fraction(2), Fraction(-1, 3),
+                      Fraction(5, 2)):
+                yield (name, k, r), substitute_y(q.level(k).R, r), r
+
+
+def iv_endpoints(ball):
+    return numeric._iv_lo(ball), numeric._iv_hi(ball)
+
+
+class TestHKernel:
+    """_h_u_values' integer rows and Horner sum, and _h_terms, against
+    taylor_series + from_associated and the reduced terms."""
+
+    def test_u_values_match_reference(self):
+        cases = 0
+        for label, R_t, r in h_cases():
+            for N in (0, 1, 7, 150):
+                U, D = numeric._h_u_values(R_t, r, N)
+                assert D > 0 and len(U) == N + 1
+                assert [Fraction(c, D) for c in U] \
+                    == list(reference_h_u_values(R_t, r, N)), (label, N)
+            cases += 1
+        assert cases == 48
+
+    def test_cache_key(self):
+        info = numeric._h_u_values.cache_info
+        assert numeric._h_u_values.cache_parameters()["maxsize"] == 256
+        R_t = substitute_y(diese_generator().R, Fraction(1, 2))
+        numeric._h_u_values(R_t, Fraction(1, 2), 12)
+        hits = info().hits
+        assert numeric._h_u_values(R_t, Fraction(1, 2), 12) \
+            is numeric._h_u_values(R_t, Fraction(1, 2), 12)
+        assert info().hits == hits + 2
+
+    def test_ball_sum_identical(self):
+        for label, R_t, r in h_cases():
+            if label[1] not in (-2, 1, 3):
+                continue
+            for x in (Fraction(1, 10), Fraction(-1, 5), Fraction(1, 3)):
+                for tol, N in (("1e-20", 40), ("1e-40", 120)):
+                    tol = numeric.tol_fraction(tol)
+                    u = reference_h_u_values(R_t, r, N)
+                    with numeric._working(256):
+                        new = numeric._ball_sum(numeric._h_terms(
+                            numeric._h_u_values(R_t, r, N), x), N + 1, tol, 256)
+                        ref = numeric._ball_sum(reference_h_terms(u, x),
+                                                N + 1, tol, 256)
+                        assert iv_endpoints(new) == iv_endpoints(ref), \
+                            (label, x, N)
+
+    @pytest.mark.parametrize("level, r, x, perturb", [
+        (0, Fraction(1, 2), Fraction(1, 5), {3: "1e-6"}),
+        (1, Fraction(-1, 3), Fraction(-1, 10), {0: Fraction(-2, 7),
+                                                5: Fraction(1, 10 ** 20)}),
+        (-2, Fraction(5, 2), Fraction(1, 5), {2: Fraction(3, 10 ** 31)}),
+        (0, Fraction(1, 2), Fraction(1, 5), {10 ** 6: 1, -1: 1}),
+    ], ids=["diese-0", "diese-1-two", "diese-m2-tiny", "out-of-range"])
+    def test_perturbed_certificate(self, monkeypatch, level, r, x, perturb):
+        # the reference adds delta to the reduced u_idx and certifies the
+        # changed coefficients unperturbed
+        F = diese_quatuor(-2, 3).level(level)
+        got = check_identity(F, r, x, "1e-30", 256, perturb=perturb)
+
+        def shifted(R_t, r, N):
+            u = list(reference_h_u_values(R_t, r, N))
+            for idx, delta in perturb.items():
+                if 0 <= idx <= N:
+                    u[idx] += Fraction(delta)
+            return as_common_denominator(u)
+
+        monkeypatch.setattr(numeric, "_h_u_values", shifted)
+        assert got == check_identity(F, r, x, "1e-30", 256)
+
+    def test_taylor_core_plain_ints(self):
+        # the one recurrence on plain ints (Q) and on one-entry rows (the
+        # Q(y) arithmetic) gives the same S_k; V / D are the k! c_k
+        rng = random.Random(27)
+        cases = [parse_qt(t) for t in (
+            "1/(1 - t)", "(t + 1)/(6*t^2 - 4*t + 2)",
+            "(3*t^3 - t)/((t - 2)^2*(t + 7))", "5/7")]
+        cases += [R_t for _, R_t, _ in h_cases()][::7]
+        for R in cases:
+            mu = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            P, Q, m, q, a, b, arith = quatuor._taylor_parts(R, mu)
+            assert arith is quatuor._INTS
+            S = quatuor._taylor_numerators(P, Q, m, q, 40, arith)
+            rows = quatuor._taylor_numerators(
+                [[c] for c in P], [[c] for c in Q], [m], [q], 40,
+                quatuor._ROWS)
+            assert [[c] if c else [] for c in S] \
+                == [row if any(row) else [] for row in rows]
+            V, D = quatuor._taylor_v_integers(R, 40, mu)
+            assert D > 0
+            assert [Fraction(c, D) for c in V] == [
+                c * math.factorial(k)
+                for k, c in enumerate(taylor_series(R, 40, mu))]
+            assert taylor_series(R, 40, mu) \
+                == reference_taylor_series(R, 40, mu)
+
+    def test_numeric_calls_no_transform(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("normalising path called")
+
+        # numeric's own names too, where a module imports them directly
+        for module in (numeric, quatuor):
+            monkeypatch.setattr(module, "taylor_series", refuse,
+                                raising=False)
+            monkeypatch.setattr(module, "from_associated", refuse,
+                                raising=False)
+        monkeypatch.setattr(assoc, "from_associated", refuse)
+        numeric._h_u_values.cache_clear()
+        F = kolberg_quatuor(-2, 2).level(-1)
+        assert check_identity(F, Fraction(1, 3), Fraction(1, 7)).passed
+        eval_H_series(F, Fraction(1, 3), Fraction(1, 7))
+
+    def test_identity_at_one_third_time_bound(self):
+        # N = 1553; through taylor_series + from_associated this took
+        # 12.9 s on a 2-vCPU Xeon VM, the integer rows about 2 s
+        numeric._h_u_values.cache_clear()
+        start = time.perf_counter()
+        cert = check_identity(diese_quatuor(0, 0).level(0), Fraction(1, 2),
+                              Fraction(1, 3), "1e-60")
+        assert time.perf_counter() - start < 6
+        assert cert.passed and cert.terms_used == 1553
+
+
+def reference_exp_ub(z: Fraction) -> Fraction:
+    """The former exp_ub: the Taylor loop at every z."""
+    K = max(2 * (int(z) + 1), 24)
+    s, term = Fraction(0), Fraction(1)
+    for k in range(K + 1):
+        s += term
+        term = term * z / (k + 1)
+    return s + 2 * term
+
+
+class TestExpUb:
+    def test_loop_unchanged_up_to_64(self):
+        rng = random.Random(64)
+        zs = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(9, 10),
+              Fraction(63), Fraction(64), Fraction(127, 2)]
+        zs += [Fraction(rng.randint(0, 6400), rng.randint(1, 100))
+               for _ in range(20)]
+        for z in zs:
+            if z <= 64:
+                assert numeric.exp_ub(z) == reference_exp_ub(z), z
+
+    def test_squaring_close_to_loop(self):
+        # above 64 both are upper bounds on e^z; the loop's slack is below
+        # a relative 1e-10 there, the squared one's near 1e-25
+        for z in (Fraction(65), Fraction(1001, 10), Fraction(500)):
+            new, ref = numeric.exp_ub(z), reference_exp_ub(z)
+            assert abs(new - ref) < ref * Fraction(1, 10 ** 10), z
+
+    def test_refused_above_limit(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="bound on e"):
+            numeric.exp_ub(Fraction(numeric.MAX_EXP_ARG * 3 + 1, 3))
+        with pytest.raises(DomainError, match="bound on e"):
+            numeric.exp_ub(Fraction(10 ** 9 + 1, 2))
+        assert time.perf_counter() - start < 0.1
+        assert numeric.exp_ub(numeric.MAX_EXP_ARG) > 0
 
 
 def q_poly(rng, deg, var="y"):

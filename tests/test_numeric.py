@@ -11,11 +11,11 @@ import pytest
 from mpmath import iv, mp
 
 from kolberg import (
-    DomainError, SeriesSpec,
+    QQ, CoeffSeq, DomainError, SeriesSpec,
     check_identity, diese_quatuor, enclose_fraction, eval_F_closed,
-    eval_H_series, eval_theorem_series, exp_ub, E_UB, invert_xt,
-    invert_xt_certified, kolberg_quatuor, parse_poly, require_x_domain,
-    tol_fraction, tree_t_interval,
+    eval_H_series, eval_theorem_series, exp_ub, E_UB, from_associated,
+    invert_xt, invert_xt_certified, kolberg_quatuor, parse_poly,
+    require_x_domain, taylor_series, tol_fraction, tree_t_interval,
 )
 from kolberg import numeric
 from kolberg.numeric import _iv_hi, _iv_lo, _iv_mid, _working
@@ -52,6 +52,18 @@ class TestEnclosures:
             assert mpf_x(Fraction(ub)) >= mp.exp(mpf_x(z))
             # and reasonably tight
             assert mpf_x(Fraction(ub)) <= mp.exp(mpf_x(z)) * (1 + mp.mpf(1e-9))
+
+    @pytest.mark.parametrize("z", [Fraction(100), Fraction(3000),
+                                   Fraction(200001, 3)])
+    def test_exp_ub_squared_is_upper_bound(self, z):
+        # above 64 the bound comes from repeated squaring; compare it, as
+        # an interval, with an interval enclosure of e^z
+        ub = exp_ub(z)
+        with _working(512):
+            ub_iv = iv.mpf(ub.numerator) / iv.mpf(ub.denominator)
+            e_iv = iv.exp(iv.mpf(z.numerator) / iv.mpf(z.denominator))
+            assert _iv_lo(ub_iv) >= _iv_hi(e_iv)
+            assert _iv_hi(ub_iv) <= _iv_lo(e_iv) * (1 + mp.mpf(10) ** -20)
 
     def test_e_ub_brackets_e(self):
         assert Fraction(27182, 10000) < E_UB < Fraction(27183, 10000)
@@ -327,11 +339,14 @@ class TestFixedPointSum:
         r, x = Fraction(1, 3), Fraction(-1, 5)
         res = eval_H_series(q.level(-1), r, x, None, 256, "1e-30")
         R_t = numeric.substitute_y(q.level(-1).R, r)
-        u = numeric._h_u_values(R_t, r, res.terms_used)
+        series = taylor_series(R_t, res.terms_used, r)
+        u = from_associated(CoeffSeq("v", QQ, tuple(
+            c * math.factorial(n) for n, c in enumerate(series)))).values
         exact = sum(c * x ** n / math.factorial(n) for n, c in enumerate(u))
+        terms = numeric._h_terms(
+            numeric._h_u_values(R_t, r, res.terms_used), x)
         with _working(256):
-            enc = numeric._ball_sum(numeric._h_terms(u, x), len(u),
-                                    tol_fraction("1e-30"), 256)
+            enc = numeric._ball_sum(terms, len(u), tol_fraction("1e-30"), 256)
             assert res.value == _iv_mid(enc)
         self.assert_encloses(enc, exact)
 
@@ -495,6 +510,25 @@ class TestHSeries:
             with pytest.raises(DomainError,
                                match="precision 64 cannot meet tolerance"):
                 call()
+
+    def test_precision_range_refused_before_work(self, monkeypatch):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("planned past the precision check")
+
+        monkeypatch.setattr(numeric, "_h_plan", no_plan)
+        monkeypatch.setattr(numeric, "_family_plan", no_plan)
+        F = kolberg_quatuor(-2, 2).level(-2)
+        spec = SeriesSpec("kolberg", Fraction(1, 10), a=1, r=Fraction(1, 2))
+        for bits, match in ((numeric.MAX_PRECISION + 1, "at most"),
+                            (numeric.MIN_PRECISION - 1, "at least")):
+            for call in (
+                    lambda: eval_H_series(F, Fraction(1, 2), Fraction(1, 10),
+                                          None, bits),
+                    lambda: eval_theorem_series(spec, bits),
+                    lambda: check_identity(F, Fraction(1, 2),
+                                           Fraction(1, 10), "1e-30", bits)):
+                with pytest.raises(ValueError, match=match):
+                    call()
 
 
 class TestIdentityCertificate:
