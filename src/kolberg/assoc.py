@@ -8,8 +8,9 @@ each other through a pair of binomial transforms:
 
 with u_0 = v_0.  The power convention 0^0 = 1 is forced by the m = n
 term (it makes u_1 = v_1).  Entries live in Q or in Q(y); the formulas
-are the same in both rings.  Both directions use the first formula's
-weights: the second map is its inverse, computed by forward substitution.
+are the same in both rings.  The first formula is written once, as an
+integer kernel (_binomial_columns) that every series-coefficient path
+uses; the second map is its inverse, by forward substitution in it.
 """
 
 from __future__ import annotations
@@ -58,51 +59,46 @@ class CoeffSeq:
         return self.values[i]
 
 
-def _ipow(base: int, exp: int) -> int:
-    # 0^0 = 1 by the series convention
-    return 1 if exp == 0 else base ** exp
+def _binomial_columns(columns, kind: str) -> list:
+    """The transform named by kind on integer columns x_1..x_N, in Horner
+    form over one binomial row per n, built by Pascal addition and shared
+    by every column: acc = acc n + C(n-1, m-1) x_m for m = 1, 2, ...
+
+    Kind 'u' runs m to n over the input column.  Kind 'v' is forward
+    substitution: the sum stops at m = n - 1, over the v_m solved so far,
+    and v_n = u_n - n acc.
+    """
+    outs = [[] for _ in columns]
+    row = []                        # C(n-1, j), j = 0..n-1
+    for n in range(1, len(columns[0]) + 1 if columns else 0):
+        row = list(map(operator.add, row + [0], [0] + row)) if row else [1]
+        for col, out in zip(columns, outs):
+            acc = 0
+            # zip stops at the n entries of the row, or at the n - 1 solved
+            for c, x in zip(row, col if kind == "u" else out):
+                acc = acc * n + c * x
+            out.append(acc if kind == "u" else col[n - 1] - n * acc)
+    return outs
 
 
-def _from_weights(n: int) -> list:
-    """C(n-1, m-1) n^(n-m) for m = 1..n, walked down from w(n, n) = 1 by
-    the exact step w(n, m-1) = w(n, m) (m-1) n / (n-m+1)."""
-    row = [1] * n
-    w = 1
-    for m in range(n, 1, -1):
-        w = w * (m - 1) * n // (n - m + 1)
-        row[m - 2] = w
-    return row
+def _binomial_rows(rows: list, kind: str) -> list:
+    """_binomial_columns on entries given as integer coefficient rows."""
+    width = max(map(len, rows), default=0)
+    outs = _binomial_columns(
+        list(zip(*(row + [0] * (width - len(row)) for row in rows))), kind)
+    return list(zip(*outs)) if outs else [[] for _ in rows]
 
 
 def _transform(seq: CoeffSeq, N: int, kind: str) -> CoeffSeq:
-    """Entry 0 of seq, then entries 1..N of the transform named by kind.
-
-    With w = _from_weights(n), kind 'u' is u_n = sum_{m=1..n} w[m-1] v_m,
-    and kind 'v' solves the same unit lower-triangular system by forward
-    substitution, v_n = u_n - sum_{m<n} w[m-1] v_m.  The entries are
-    written as integer coefficient rows over one common denominator; the
-    weights are integers, so every sum stays an integer dot product per
-    coefficient over that denominator, and each output is normalised once.
-    """
+    """Entry 0 of seq, then entries 1..N of the transform named by kind,
+    run on integer coefficient rows over one common denominator and each
+    normalised once."""
     if N < 0:
         raise ValueError(f"order N must be nonnegative, got {N}")
     rows, den = _integer_numerators(seq.ring, seq.values[1:N + 1])
-    width = max(map(len, rows), default=0)
-    columns = list(zip(*(row + [0] * (width - len(row)) for row in rows)))
-    solved = [[] for _ in columns]
-    out = [seq.values[0]]
-    for n in range(1, N + 1):
-        w = _from_weights(n)
-        if kind == "u":
-            ints = [sum(map(operator.mul, w, col)) for col in columns]
-        else:
-            # map stops at the n - 1 entries solved so far
-            ints = [col[n - 1] - sum(map(operator.mul, w, vs))
-                    for col, vs in zip(columns, solved)]
-            for vs, x in zip(solved, ints):
-                vs.append(x)
-        out.append(_from_integers(seq.ring, ints, den))
-    return CoeffSeq(kind, seq.ring, tuple(out))
+    out = [_from_integers(seq.ring, ints, den)
+           for ints in _binomial_rows(rows, kind)]
+    return CoeffSeq(kind, seq.ring, (seq.values[0], *out))
 
 
 def to_associated(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
@@ -148,7 +144,7 @@ def compose_oracle(u: CoeffSeq, N: int | None = None) -> CoeffSeq:
         inv_nfact = Fraction(1, math.factorial(n))
         # truncated series of e^{-n t}: sum_j (-n)^j t^j / j!
         for j in range(N - n + 1):
-            scale = inv_nfact * Fraction(_ipow(-n, j), math.factorial(j))
+            scale = inv_nfact * Fraction((-n) ** j, math.factorial(j))
             coeffs[n + j] = coeffs[n + j] + scale * u.values[n]
     values = [coeffs[k] * math.factorial(k) for k in range(N + 1)]
     return CoeffSeq("v", u.ring, tuple(values))

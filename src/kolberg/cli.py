@@ -41,6 +41,14 @@ EXIT_USAGE = 2
 EXIT_INFERTILE = 3
 EXIT_DOMAIN = 4
 
+# The largest sizes accepted, checked before any work (exit 2); the README
+# gives the time each takes at its limit.
+MAX_ASSOC_ORDER = 1000      # assoc --N and the input sequence's order
+MAX_COEFF_ORDER = 200       # quatuor hcoeffs/gcoeffs --N
+MAX_TABLE_ORDER = 200       # verify table --N
+MAX_ROUNDTRIP_ORDER = 400   # verify roundtrip --order
+MAX_ROUNDTRIP_COUNT = 100   # verify roundtrip --count
+
 
 def _fraction_arg(text: str) -> Fraction:
     try:
@@ -79,6 +87,11 @@ def _inject_arg(text: str) -> tuple[int, Fraction]:
     except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(
             f"inject must look like INDEX:OFFSET, got {text!r}") from exc
+
+
+def _at_most(name: str, value, limit: int):
+    if value is not None and value > limit:
+        raise ParseError(f"{name} must be at most {limit}, got {value}", 0)
 
 
 def _read_input(path: str) -> str:
@@ -219,7 +232,9 @@ def _level_function(args) -> AdHocFunction:
 
 
 def cmd_assoc(args) -> int:
+    _at_most("--N", args.N, MAX_ASSOC_ORDER)
     seq = sequence_from_json(_read_input(args.infile))
+    _at_most("the sequence order", seq.order, MAX_ASSOC_ORDER)
     expected = "u" if args.dir == "fwd" else "v"
     if seq.kind != expected:
         raise ParseError(
@@ -253,6 +268,7 @@ def cmd_quatuor_gen(args) -> int:
 
 
 def cmd_quatuor_coeffs(args, coeffs) -> int:
+    _at_most("--N", args.N, MAX_COEFF_ORDER)
     _print_sequence(coeffs(_level_function(args), args.N), args.json)
     return EXIT_OK
 
@@ -298,8 +314,7 @@ def cmd_eval(args) -> int:
     if args.json:
         print(result_to_json(res))
     else:
-        digits = max(int(res.precision_bits * 0.30103) - 2, 10)
-        print(f"value       = {mpmath.nstr(res.value, digits)}")
+        print(f"value       = {mpmath.nstr(res.value, res.digits)}")
         print(f"error bound <= {mpmath.nstr(res.error_bound, 5)}")
         print(f"terms = {res.terms_used}, "
               f"precision bits = {res.precision_bits}")
@@ -326,6 +341,7 @@ def cmd_verify_identity(args) -> int:
 
 
 def cmd_verify_table(args) -> int:
+    _at_most("--N", args.N, MAX_TABLE_ORDER)
     q = diese_quatuor(k_min=0, k_max=0)
     u = h_coeffs(q.level(0), args.N)
     bad = [n for n in range(args.N + 1)
@@ -343,6 +359,8 @@ def cmd_verify_table(args) -> int:
 def cmd_verify_roundtrip(args) -> int:
     if args.count < 0:
         raise ParseError("--count must be nonnegative", 0)
+    _at_most("--count", args.count, MAX_ROUNDTRIP_COUNT)
+    _at_most("--order", args.order, MAX_ROUNDTRIP_ORDER)
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.count):

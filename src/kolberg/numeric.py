@@ -10,11 +10,11 @@ carried as mantissas of about W + 64 bits with a binary exponent,
 floored after each product, and rho counts those floors.  The H series
 and custom-H terms are exact integer pairs, rho = 0.  The H-series pairs
 are built on integers from end to end: the Taylor recurrence gives
-v_m = V_m / D over one denominator, u_n = U_n / D is their Horner sum
-(_h_u_values), and term n is (U_n xp^n, D xq^n n!) (_h_terms).  No
-step reduces or normalises, and none needs to: a floor below depends
-only on the value of num/den, so the ball is the one the reduced u_n
-give.
+v_m = V_m / D over one denominator, the transform kernel of assoc gives
+u_n = U_n / D over the same D (_h_u_values), and term n is
+(U_n xp^n, D xq^n n!) (_h_terms).  No step reduces or normalises, and
+none needs to: a floor below depends only on the value of num/den, so
+the ball is the one the reduced u_n give.
 
 Each num/den is floored to W fractional bits, (num << W) // den.  A
 floor errs by less than one unit of 2^-W (by nothing when the division
@@ -54,7 +54,6 @@ built and up to the term cap _TERM_CAP.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -64,6 +63,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import iv, mp
 
+from .assoc import _binomial_columns
 from .parsing import MAX_DIGITS
 from .quatuor import AdHocFunction, _taylor_v_integers
 from .rational import (
@@ -286,67 +286,66 @@ def tol_fraction(tol) -> Fraction:
 # -- tree-function branch --------------------------------------------------
 
 
-def invert_xt(x, precision: int = 256) -> mpmath.mpf:
-    """The branch of t e^{-t} = x through (0, 0), certified.
+def _tree_branch(x: Fraction, precision: int):
+    """(t, box) for the branch of t e^{-t} = x through (0, 0), at the
+    working precision the caller has entered.
 
-    Newton iteration from t_0 = x; afterwards the residual
-    |t e^{-t} - x| is re-evaluated in interval arithmetic and must be
-    below 2^-(precision-8).
+    t is the Newton iterate from t_0 = x.  box is certified to contain
+    the exact branch value: the forward map s e^{-s} - x changes sign
+    across it, and the map is strictly increasing for s < 1, so the sign
+    change brackets the root.
     """
-    t, _resid = invert_xt_certified(x, precision)
-    return t
+    if x == 0:
+        return mp.mpf(0), iv.mpf(0)
+    if abs(x) * E_UB >= 1:
+        raise DomainError(f"need |x| < 1/e, got x = {x}")
+    t = xv = _mpf_from_fraction(x)
+    limit = mpmath.ldexp(1, -(precision + 16))
+    for _ in range(400):
+        w = xv * mp.exp(t)
+        delta = (t - w) / (1 - w)
+        t = t - delta
+        if abs(delta) < limit:
+            break
+    else:
+        raise ArithmeticError("Newton iteration did not converge")
+    x_iv = enclose_fraction(x)
+    delta = mpmath.ldexp(max(abs(t), mp.mpf(1)), -(precision - 2))
+    for _ in range(80):
+        lo, hi = t - delta, t + delta
+        f_lo = iv.mpf(lo) * iv.exp(-iv.mpf(lo)) - x_iv
+        f_hi = iv.mpf(hi) * iv.exp(-iv.mpf(hi)) - x_iv
+        if _iv_hi(f_lo) < 0 and _iv_lo(f_hi) > 0:
+            return t, iv.mpf([lo, hi])
+        delta = delta * 8
+    raise ArithmeticError("could not bracket the tree-function branch")
+
+
+def invert_xt(x, precision: int = 256) -> mpmath.mpf:
+    """The branch of t e^{-t} = x through (0, 0), certified: the Newton
+    iterate of _tree_branch, whose sign-change bracket holds the root."""
+    with _working(precision):
+        return _tree_branch(Fraction(x), precision)[0]
 
 
 def invert_xt_certified(x, precision: int = 256):
-    """invert_xt plus an upper bound on |t e^{-t} - x|."""
+    """invert_xt plus an upper bound on |t e^{-t} - x|, evaluated in
+    interval arithmetic; it must be below 2^-(precision-8)."""
     x = Fraction(x)
-    if x != 0 and abs(x) * E_UB >= 1:
-        raise DomainError(f"need |x| < 1/e, got x = {x}")
     with _working(precision):
-        if x == 0:
-            return mp.mpf(0), mp.mpf(0)
-        xv = _mpf_from_fraction(x)
-        t = xv
-        limit = mpmath.ldexp(1, -(precision + 16))
-        for _ in range(400):
-            w = xv * mp.exp(t)
-            delta = (t - w) / (1 - w)
-            t = t - delta
-            if abs(delta) < limit:
-                break
-        else:
-            raise ArithmeticError("Newton iteration did not converge")
+        t, _ = _tree_branch(x, precision)
         ti = iv.mpf(t)
-        resid = ti * iv.exp(-ti) - enclose_fraction(x)
-        bound = _iv_abs_sup(resid)
+        bound = _iv_abs_sup(ti * iv.exp(-ti) - enclose_fraction(x))
         if not bound < mpmath.ldexp(1, -(precision - 8)):
             raise ArithmeticError("residual certificate failed")
         return t, bound
 
 
 def tree_t_interval(x, precision: int = 256):
-    """An interval certified to contain the exact branch value t(x).
-
-    The forward map s e^{-s} - x changes sign across the interval; the
-    map is strictly increasing for s < 1, so the sign change brackets
-    the root.
-    """
-    x = Fraction(x)
+    """An interval certified to contain the exact branch value t(x): the
+    sign-change bracket of _tree_branch."""
     with _working(precision):
-        if x == 0:
-            return iv.mpf(0)
-        t = invert_xt(x, precision)
-        x_iv = enclose_fraction(x)
-        delta = mpmath.ldexp(max(abs(t), mp.mpf(1)), -(precision - 2))
-        for _ in range(80):
-            lo = t - delta
-            hi = t + delta
-            f_lo = iv.mpf(lo) * iv.exp(-iv.mpf(lo)) - x_iv
-            f_hi = iv.mpf(hi) * iv.exp(-iv.mpf(hi)) - x_iv
-            if _iv_hi(f_lo) < 0 and _iv_lo(f_hi) > 0:
-                return iv.mpf([lo, hi])
-            delta = delta * 8
-        raise ArithmeticError("could not bracket the tree-function branch")
+        return _tree_branch(Fraction(x), precision)[1]
 
 
 # -- closed-form side ------------------------------------------------------
@@ -431,6 +430,11 @@ class EvalResult:
     terms_used: int
     precision_bits: int
 
+    @property
+    def digits(self) -> int:
+        """Significant digits printed for value."""
+        return max(int(self.precision_bits * 0.30103) - 2, 10)
+
     def __str__(self):
         return (f"{mpmath.nstr(self.value, 30)} +/- "
                 f"{mpmath.nstr(self.error_bound, 3)} "
@@ -439,9 +443,8 @@ class EvalResult:
 
 def result_to_json(res: EvalResult) -> str:
     import json
-    digits = max(int(res.precision_bits * 0.30103) - 2, 10)
     return json.dumps({
-        "value": mpmath.nstr(res.value, digits),
+        "value": mpmath.nstr(res.value, res.digits),
         "error_bound": mpmath.nstr(res.error_bound, 5),
         "terms": res.terms_used,
         "precision_bits": res.precision_bits,
@@ -836,37 +839,13 @@ def eval_theorem_series(spec: SeriesSpec, precision: int = 256,
 
 @lru_cache(maxsize=256)
 def _h_u_values(R_t: RatFunc, r: Fraction, N: int) -> tuple:
-    """(U, D) with u_n(r) = U[n] / D, n = 0..N, exact integers, D > 0.
-
-    The v_m = m! [t^m] R_t(t) e^{r t} come from the Taylor recurrence as
-    integers V[m] over one denominator D (_taylor_v_integers), and the
-    inverse associated-series transform u_n = sum_{m=1..n} C(n-1, m-1)
-    n^(n-m) v_m is summed over that same D in Horner form,
-
-        acc = acc n + C(n-1, j) V[n-j],  j = n-1, ..., 0,
-
-    which multiplies the accumulator only by n and each V only by a
-    binomial of about n bits.  Nothing is reduced, so every U[n] / D is
-    exactly the u_n that from_associated would return.  Over Q(y) the
-    transforms keep their weight rows (assoc._from_weights): there a
-    Horner sum per coefficient column was slower than the dot products,
-    0.232 s against 0.223 s for h_coeffs to order 40 on the 11 dièse and
-    Kolberg levels.  Over Q this function beat from_associated 1.9x at
-    N = 120 and 3.5x at N = 812 (dièse level 0, r = 1/2).
-    """
+    """(U, D) with u_n(r) = U[n] / D, n = 0..N, exact integers, D > 0:
+    the v_m = m! [t^m] R_t(t) e^{r t} over one denominator D
+    (_taylor_v_integers) through the transform kernel of assoc as one
+    column.  Nothing is reduced, so every U[n] / D is exactly the u_n
+    that from_associated would return."""
     V, D = _taylor_v_integers(R_t, N, r)
-    U = [V[0]]
-    row = [1]                       # C(n-1, j), j = 0..n-1
-    V1 = V[1:]
-    for n in range(1, N + 1):
-        if n > 1:
-            row = list(map(operator.add, row + [0], [0] + row))
-        acc = 0
-        # the row is symmetric, so C(n-1, j) pairs with V[n-j] in order
-        for c, v in zip(row, V1):
-            acc = acc * n + c * v
-        U.append(acc)
-    return tuple(U), D
+    return (V[0], *_binomial_columns([V[1:]], "u")[0]), D
 
 
 def _h_tail_params(R_t: RatFunc, r: Fraction, x: Fraction):

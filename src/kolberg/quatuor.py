@@ -16,13 +16,12 @@ rational), and failure is what "infertile" means.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .assoc import CoeffSeq, from_associated
+from .assoc import CoeffSeq, _binomial_rows
 from .parsing import parse_qyt, print_canonical
 from .rational import (
     QQ, QT, QY, QYT,
@@ -334,6 +333,30 @@ def _taylor_numerators(P, Q, m, q, N: int, arith: _Arith) -> list:
     return S
 
 
+def _taylor_v(R: RatFunc, N: int, mu):
+    """(V, d, g, arith) with k! c_k = V[k] / (d g^k), k = 0..N, unreduced:
+    V[k] = b S_k, d = a Q_0 and g = Q_0 q in the integer arithmetic arith."""
+    if N < 0:
+        raise ValueError(f"order N must be nonnegative, got {N}")
+    P, Q, m, q, a, b, arith = _taylor_parts(R, mu)
+    mul = arith.mul
+    return ([mul(b, s) for s in _taylor_numerators(P, Q, m, q, N, arith)],
+            mul(a, Q[0]), mul(Q[0], q), arith)
+
+
+def _taylor_values(R: RatFunc, N: int, mu, factorial: bool) -> list:
+    """k! c_k (c_k if factorial) for k = 0..N, each normalised once over
+    its own denominator d g^k (times k!)."""
+    V, den, g, arith = _taylor_v(R, N, mu)
+    out = []
+    for k, v in enumerate(V):
+        if k > 0:
+            den = arith.scale(arith.mul(den, g), k if factorial else 1)
+        out.append(Fraction(v, den) if arith is _INTS
+                   else _from_integers(R.num.field, v, den))
+    return out
+
+
 def taylor_series(R: RatFunc, N: int, mu) -> list:
     """Coefficients c_0..c_N of R(t) * e^{mu*t} around t = 0.
 
@@ -348,59 +371,39 @@ def taylor_series(R: RatFunc, N: int, mu) -> list:
               - sum_{i>=1} Q_i S_(k-i) Q_0^(i-1) q^i k!/(k-i)!,
 
     which needs Q_0 = Q(0) != 0.  _taylor_numerators runs the recurrence;
-    each c_k is normalised once here.
+    each c_k is normalised once, from k! c_k (_taylor_v) over k!.
     """
-    if N < 0:
-        raise ValueError(f"order N must be nonnegative, got {N}")
-    ring = R.num.field
-    P, Q, m, q, a, b, arith = _taylor_parts(R, mu)
-    mul, scale = arith.mul, arith.scale
-    out = []
-    d_k = mul(a, Q[0])              # a Q_0^(k+1) q^k k!
-    for k, S_k in enumerate(_taylor_numerators(P, Q, m, q, N, arith)):
-        if k > 0:
-            d_k = scale(mul(mul(d_k, Q[0]), q), k)
-        if arith is _INTS:
-            out.append(Fraction(b * S_k, d_k))
-        else:
-            out.append(_from_integers(ring, mul(b, S_k), d_k))
-    return out
+    return _taylor_values(R, N, mu, factorial=True)
 
 
-def _taylor_v_integers(R: RatFunc, N: int, mu: Fraction
-                       ) -> tuple[list, int]:
-    """(V, D) with V[k] / D = k! c_k for the c_k of taylor_series, R over Q.
-
-    From c_k = b S_k / (a Q_0^(k+1) q^k k!): with g = Q_0 q, every k! c_k
-    is b S_k g^(N-k) over the one denominator a Q_0 g^N; signs are then
-    flipped so that D > 0.  Nothing is normalised.
+def _taylor_v_integers(R: RatFunc, N: int, mu) -> tuple[list, object]:
+    """(V, D) with V[k] / D = k! c_k for the c_k of taylor_series, over
+    the one denominator D = d g^N of _taylor_v, for the transform kernel.
+    Over Q the entries are ints with D > 0; over Q(y), integer rows in y.
     """
-    if N < 0:
-        raise ValueError(f"order N must be nonnegative, got {N}")
-    P, Q, m, q, a, b, arith = _taylor_parts(R, mu)
-    S = _taylor_numerators(P, Q, m, q, N, arith)
-    g = Q[0] * q
-    V = [0] * (N + 1)
-    f = b                           # b g^(N-k)
+    V, D, g, arith = _taylor_v(R, N, mu)
+    f = arith.one                   # g^(N-k)
     for k in range(N, -1, -1):
-        V[k] = S[k] * f
-        f *= g
-    D = a * Q[0] * g ** N
-    if D < 0:
+        V[k] = arith.mul(V[k], f)
+        if k > 0:
+            f = arith.mul(f, g)
+    D = arith.mul(D, f)
+    if arith is _INTS and D < 0:
         V, D = [-v for v in V], -D
     return V, D
 
 
 def g_coeffs(F: AdHocFunction, N: int) -> CoeffSeq:
     """v_n = n! [t^n] (R * e^{y t}), the G-side coefficients."""
-    series = taylor_series(F.R, N, QY.gen)
-    values = [series[n] * math.factorial(n) for n in range(N + 1)]
-    return CoeffSeq("v", QY, tuple(values))
+    return CoeffSeq("v", QY, tuple(_taylor_values(F.R, N, QY.gen, False)))
 
 
 def h_coeffs(F: AdHocFunction, N: int) -> CoeffSeq:
-    """u_n for H(x,y) = sum u_n x^n/n!, via the inverse transform."""
-    return from_associated(g_coeffs(F, N))
+    """u_n for H(x,y) = sum u_n x^n/n!: the transform kernel on the v_n as
+    integer rows over one denominator, each u_n normalised once."""
+    V, D = _taylor_v_integers(F.R, N, QY.gen)
+    U = [V[0], *_binomial_rows(V[1:], "u")]
+    return CoeffSeq("u", QY, tuple(_from_integers(QY, u, D) for u in U))
 
 
 def kolberg_h_closed(k: int, n: int) -> RatFunc:

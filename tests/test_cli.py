@@ -2,15 +2,18 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from kolberg import (
-    QQ, CoeffSeq, diese_quatuor, g_coeffs, quatuor_to_json, sequence_to_json,
+    QQ, CoeffSeq, cli, diese_quatuor, g_coeffs, quatuor_to_json,
+    sequence_to_json,
 )
 from kolberg.cli import run
 
@@ -202,6 +205,53 @@ class TestRejectedArguments:
         assert proc.returncode == 2
         assert "error: " in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def random_sequence(kind: str, order: int) -> str:
+    rng = random.Random(order)
+    return sequence_to_json(CoeffSeq(kind, QQ, tuple(
+        Fraction(rng.randint(-999, 999), rng.randint(1, 99))
+        for _ in range(order + 1))))
+
+
+# (argv with SEQ for a sequence file of order n and {n} for n, limit)
+SIZE_LIMITS = {
+    "assoc-N": (["assoc", "--dir", "inv", "--in", "SEQ", "--N", "{n}"],
+                cli.MAX_ASSOC_ORDER),
+    "assoc-order": (["assoc", "--dir", "inv", "--in", "SEQ"],
+                    cli.MAX_ASSOC_ORDER),
+    "hcoeffs-N": (["quatuor", "hcoeffs", "--r0", "1 + 2/y + t^2",
+                   "--N", "{n}"], cli.MAX_COEFF_ORDER),
+    "gcoeffs-N": (["quatuor", "gcoeffs", "--r0", "1 + 2/y + t^2",
+                   "--N", "{n}"], cli.MAX_COEFF_ORDER),
+    "table-N": (["verify", "table", "--N", "{n}"], cli.MAX_TABLE_ORDER),
+    "roundtrip-order": (["verify", "roundtrip", "--count", "1",
+                         "--order", "{n}"], cli.MAX_ROUNDTRIP_ORDER),
+    "roundtrip-count": (["verify", "roundtrip", "--count", "{n}"],
+                        cli.MAX_ROUNDTRIP_COUNT),
+}
+
+
+class TestSizeLimits:
+    """Each CLI size runs at its limit; one past it exits 2 within 1 s."""
+
+    @pytest.mark.parametrize("name", list(SIZE_LIMITS))
+    @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+    def test_limit(self, name, past, capsys, tmp_path):
+        argv, limit = SIZE_LIMITS[name]
+        n = limit + past
+        seq = tmp_path / "seq.json"
+        seq.write_text(random_sequence("v", n))
+        argv = [str(seq) if a == "SEQ" else a.format(n=n) for a in argv]
+        start = time.perf_counter()
+        code = run(argv)
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        if past:
+            assert code == 2 and elapsed < 1
+            assert f"must be at most {limit}, got {n}" in err
+        else:
+            assert code == 0 and err == ""
 
 
 class TestAssoc:

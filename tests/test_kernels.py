@@ -24,12 +24,13 @@ import pytest
 
 from kolberg import (
     QQ, QY, QYT,
-    CoeffSeq, DomainError, PoleError, Quatuor, RatFunc, SeriesSpec, UniPoly,
-    VerificationError, check_identity, diese_generator, diese_quatuor,
-    eval_H_series, from_associated, generate_range, kolberg_quatuor,
-    linear_combine, parse_qt, parse_qy, parse_qyt, poly_gcd, poly_lcm,
-    print_canonical, quatuor_from_json, quatuor_to_json, rational_roots,
-    shift, substitute_y, taylor_series, to_associated,
+    AdHocFunction, CoeffSeq, DomainError, PoleError, Quatuor, RatFunc,
+    SeriesSpec, UniPoly, VerificationError, check_identity,
+    diese_generator, diese_quatuor, eval_H_series, from_associated,
+    g_coeffs, generate_range, h_coeffs, kolberg_quatuor, linear_combine,
+    parse_qt, parse_qy, parse_qyt, poly_gcd, poly_lcm, print_canonical,
+    quatuor_from_json, quatuor_to_json, rational_roots, shift,
+    substitute_y, taylor_series, to_associated,
 )
 from kolberg import assoc, numeric, quatuor, rational
 from kolberg.cli import run
@@ -186,6 +187,16 @@ def random_qy(rng):
                                          UniPoly(QQ, "y", [Fraction(1)]))
 
 
+# Levels whose t-constant term depends on y: the Taylor denominators
+# Q_0^k then grow in y, and so does the one denominator of h_coeffs' rows.
+Y_LEVELS = (
+    "(y*t + 2)/((y^2 + 3)*t^3 - t + y^3 - 2*y + 7)",
+    "(t^2 + y)/((y + 1)*t^2 + (y - 2)*t + y^2 + 1)",
+    "(y^2*t - 1)/((t - y)^2*(2*t + y + 1))",
+    "(t + 1/y)/((t^2 + y/(y + 1))*(3*t - y))",
+)
+
+
 class TestTransforms:
     @pytest.mark.parametrize("order", [0, 1, 7, 60])
     def test_qq_matches_reference(self, order):
@@ -208,6 +219,12 @@ class TestTransforms:
         u, v = CoeffSeq("u", QY, values), CoeffSeq("v", QY, values)
         assert to_associated(u) == reference_to_associated(u)
         assert from_associated(v) == reference_from_associated(v)
+        for text in Y_LEVELS:
+            F = AdHocFunction(parse_qyt(text))
+            v = g_coeffs(F, 16)
+            u = reference_from_associated(v)
+            assert h_coeffs(F, 16) == from_associated(v) == u, text
+            assert to_associated(u) == reference_to_associated(u) == v, text
 
     def test_zero_entries(self):
         values = (QY.zero, parse_qy("1/y"), QY.zero, parse_qy("y/(y + 1)"))
@@ -233,6 +250,7 @@ class TestTaylorSeries:
         ("(-t*y + y + 1)/(y^3 + y^2)", 40),      # Kolberg level 2
         ("(t + y)/(y^2*(t^2 + 3*t + y))", 20),   # D(0) = y^3 after clearing
         ("(t*y - t - y)/(2*(t - 1)^3)", 30),     # D(0) a unit
+        *((text, 20) for text in Y_LEVELS),
     ])
     def test_qy_mu_y(self, text, N):
         R = parse_qyt(text)
@@ -527,6 +545,20 @@ class TestHKernel:
         F = kolberg_quatuor(-2, 2).level(-1)
         assert check_identity(F, Fraction(1, 3), Fraction(1, 7)).passed
         eval_H_series(F, Fraction(1, 3), Fraction(1, 7))
+
+    def test_coeffs_call_no_transform(self, monkeypatch):
+        # g_coeffs normalises each v_n from the Taylor core and h_coeffs
+        # runs the transform kernel on its integer rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("normalising path called")
+
+        F = diese_quatuor(-1, 1).level(1)
+        expected = g_coeffs(F, 12), h_coeffs(F, 12)
+        monkeypatch.setattr(quatuor, "taylor_series", refuse)
+        monkeypatch.setattr(quatuor, "from_associated", refuse,
+                            raising=False)
+        monkeypatch.setattr(assoc, "from_associated", refuse)
+        assert (g_coeffs(F, 12), h_coeffs(F, 12)) == expected
 
     def test_identity_at_one_third_time_bound(self):
         # N = 1553; through taylor_series + from_associated this took
