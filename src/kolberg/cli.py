@@ -44,6 +44,7 @@ EXIT_DOMAIN = 4
 # The largest sizes accepted, checked before any work (exit 2); the README
 # gives the time each takes at its limit.
 MAX_ASSOC_ORDER = 1000      # assoc --N and the input sequence's order
+MAX_ASSOC_DEGREE = 6400     # Q(y): T max(order, T), T = denominators' degree
 MAX_COEFF_ORDER = 200       # quatuor hcoeffs/gcoeffs --N
 MAX_TABLE_ORDER = 200       # verify table --N
 MAX_ROUNDTRIP_ORDER = 400   # verify roundtrip --order
@@ -235,6 +236,10 @@ def cmd_assoc(args) -> int:
     _at_most("--N", args.N, MAX_ASSOC_ORDER)
     seq = sequence_from_json(_read_input(args.infile))
     _at_most("the sequence order", seq.order, MAX_ASSOC_ORDER)
+    T = sum(d.degree for d in {v.den for v in seq.values[1:]}) \
+        if seq.ring is QY else 0
+    _at_most("the denominators' total degree times max(order, degree)",
+             T * max(seq.order, T), MAX_ASSOC_DEGREE)
     expected = "u" if args.dir == "fwd" else "v"
     if seq.kind != expected:
         raise ParseError(

@@ -907,6 +907,19 @@ def _h_tail_params(R_t: RatFunc, r: Fraction, x: Fraction):
     return _dyadic_up(M), _dyadic_up(E), _dyadic_up(zeta)
 
 
+# The H path runs about N^2 Horner steps on integers of about N B bits, B
+# the bits of N, r and x.  A request whose N^3 B^2 exceeds MAX_H_WORK is
+# refused (exit 4) before any u_n is built; README gives measured times.
+MAX_H_WORK = 10 ** 13
+
+
+def _h_work(N: int, r: Fraction, x: Fraction) -> int:
+    """The estimated cost N^3 B^2 of an H series; see MAX_H_WORK."""
+    B = sum(v.bit_length() for v in (N, r.numerator, r.denominator,
+                                     x.numerator, x.denominator))
+    return N ** 3 * B * B
+
+
 def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,
             N: int | None = None):
     """(R_t, N, tail, (U, D)) for the H series of F at y = r and x.
@@ -914,8 +927,8 @@ def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,
     |u_n x^n/n!| <= M E zeta^n is the families' dominance form
     K0 n^delta q^n with K0 = M E, delta = 0 and q = zeta, so N and its
     tail come from _series_order and _tail_after.  With N omitted it is
-    the smallest order whose tail is below target; the term cap fires
-    before any u_n is built.
+    the smallest order whose tail is below target; the term cap and
+    MAX_H_WORK fire before any u_n is built.
     """
     R_t = substitute_y(F.R if isinstance(F, AdHocFunction) else F, r)
     M, E, zeta = _h_tail_params(R_t, r, x)
@@ -923,6 +936,9 @@ def _h_plan(F, r: Fraction, x: Fraction, target: Fraction,
         N, tail = _series_order(1, M * E, 0, zeta, 1, target)
     else:
         tail = _tail_after(M * E, 0, zeta, N, _dyadic_up(zeta ** (N + 1)))
+    if _h_work(N, r, x) > MAX_H_WORK:
+        raise DomainError(f"H series of {N} terms at r = {r}, x = {x} "
+                          f"refused: estimated work exceeds {MAX_H_WORK}")
     return R_t, N, tail, _h_u_values(R_t, r, N)
 
 
@@ -1016,7 +1032,7 @@ def check_identity(F: AdHocFunction, r, x, tol="1e-30",
             else:
                 x_pow = _pow_iv(enclose_fraction(x), r)
             lhs = x_pow * H_iv
-            rhs = _pow_iv(t_iv, r) * _eval_ratfunc_iv(R_t, t_iv)
+            rhs = eval_F_interval(R_t, r, t_iv, precision)
         else:
             form = "G"
             lhs = H_iv * iv.exp(-enclose_fraction(r) * t_iv)

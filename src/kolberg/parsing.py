@@ -34,7 +34,7 @@ from fractions import Fraction
 from .rational import (
     QQ, QS, QT, QY, QYT,
     DomainError, FractionField, RatFunc, UniPoly, format_element,
-    _power, _zzy_negate, _zzy_product, _zzy_sum,
+    _canonical, _power, _zzy_negate, _zzy_product, _zzy_sum,
 )
 
 VARIABLES = frozenset("ytsnx")
@@ -227,14 +227,12 @@ def _size(value) -> int:
 
 
 def _finish(field, num: list, den: list):
-    """num / den as the one element of field; the gcd runs here."""
+    """num / den as one element of field, normalised by _canonical."""
     num, den = _layers(field, num), _layers(field, den)
     if field is QQ:
         return Fraction(num, den)
-    if field.coeff_field is not QQ:
-        y = field.coeff_field.var
-        num, den = ([UniPoly(QQ, y, row) for row in p] for p in (num, den))
-    return RatFunc(field.poly(num), field.poly(den))
+    return RatFunc._reduced(*_canonical(field.coeff_field, field.var,
+                                        num, den))
 
 
 def lower(node: Expression, field):

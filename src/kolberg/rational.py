@@ -6,27 +6,27 @@ is structural.  The same two classes (UniPoly, RatFunc) serve every
 layer; a field descriptor object names the coefficient field of each
 polynomial layer.
 
-Canonical form is restored in one place, RatFunc.__init__, which runs
-the gcd.  Results that are canonical by construction skip it through
-RatFunc._reduced: negation, powers (gcd(n, d) = 1 implies
-gcd(n^k, d^k) = 1) and products with a nonzero constant.  Linear and
-series work (the associated-series transforms, Taylor series, the
-parser) does not add or multiply field elements term by term: it
-writes its inputs as integer numerators over one common denominator
-(_integer_numerators), works on those, and builds each output value once.
-The parser evaluates on integer arrays in Z[y][t] (_zzy_sum,
-_zzy_product); the printer writes every element over one common
-denominator of its coefficients.
+Canonical form is restored in one place, _canonical, on integer rows:
+numerator and denominator as ints (over Q) or integer lists in x (over
+Q(x)), over one common denominator.  It runs one gcd through the one
+gcd entry _row_gcd and normalises each coefficient once.  Every producer
+calls it on the rows it holds: the RatFunc constructor after lowering
+its operands (_lower), the parser on its arrays in Z[y][v], the kernels'
+outputs (_from_integers), poly_gcd and poly_lcm.  Results that are
+canonical by construction skip it through RatFunc._reduced: negation,
+powers (gcd(n, d) = 1 implies gcd(n^k, d^k) = 1) and products with a
+nonzero constant.  Linear and series work (transforms, Taylor series)
+writes its inputs over one common denominator (_integer_numerators),
+works on the integers and builds each output once; the printer writes
+every element over one common denominator of its coefficients.
 
-Every gcd over Q[x] and Q(x)[t] (poly_gcd, poly_lcm, RatFunc.__init__)
-runs on integers: both operands are written over one common denominator
-as polynomials in Z[x] or Z[x][t], and the heuristic gcd of Char, Geddes
-and Gonnet evaluates them at a large integer xi (x = xi first, then t),
-takes one integer gcd and reads the polynomial gcd back from its balanced
-base-xi digits.  A candidate is kept only if exact integer division
-confirms it; the divisions also give the cofactors, which RatFunc uses
-directly.  This heuristic is the only gcd: xi grows until a candidate is
-confirmed, which always happens (the argument is written at the kernels).
+The gcd is the heuristic gcd of Char, Geddes and Gonnet: it evaluates
+the rows at a large integer xi (x = xi first, then t), takes one integer
+gcd and reads the polynomial gcd back from its balanced base-xi digits.
+A candidate is kept only if exact integer division confirms it; the
+divisions also give the cofactors, which _canonical uses directly.  xi
+grows until a candidate is confirmed, which always happens (the argument
+is written at the kernels).
 """
 
 from __future__ import annotations
@@ -545,26 +545,20 @@ def _zzy_gcd(f: list, g: list):
         xi = _xi_next(xi)
 
 
-def _gcd_parts(a: UniPoly, b: UniPoly):
-    """The heuristic gcd of nonzero a and b as integer data.
+def _row_gcd(field, f: list, g: list):
+    """The one gcd entry: (h, f/h, g/h) for nonzero integer rows f, g,
+    the coefficients of polynomials over field over one denominator: ints
+    over Q (_zz_gcd), integer lists in x over Q(x) (_zzy_gcd).  h is the
+    gcd up to a unit of field."""
+    return (_zz_gcd if isinstance(field, RationalField) else _zzy_gcd)(f, g)
 
-    Over Q, a and b are scaled by one common factor s to integer
-    coefficient lists; over Q(x) (the coefficients of Q(x)[t]), to
-    coefficients in Z[x].  Returns (h, a', b') from _zz_gcd or _zzy_gcd,
-    with s a = h a' and s b = h b'.  Raises TypeError for any other
-    coefficient field.
-    """
-    n = len(a.coeffs)
-    field = a.field
-    if isinstance(field, RationalField):
-        nums, _ = _clear(a.coeffs + b.coeffs)
-        return _zz_gcd(nums[:n], nums[n:])
-    if (isinstance(field, FractionField)
-            and isinstance(field.coeff_field, RationalField)):
-        rows, _ = _integer_numerators(field, a.coeffs + b.coeffs)
-        return _zzy_gcd(rows[:n], rows[n:])
-    raise TypeError(f"no gcd over {field.name}: coefficients must lie in "
-                    "Q or Q(x)")
+
+def _lower(a: UniPoly, b: UniPoly):
+    """a and b as integer rows (see _row_gcd) over one denominator."""
+    n, cs = len(a.coeffs), a.coeffs + b.coeffs
+    rows = (_clear(cs) if isinstance(a.field, RationalField)
+            else _integer_numerators(a.field, cs))[0]
+    return rows[:n], rows[n:]
 
 
 def _rows_over(field, var, rows: list, lead) -> UniPoly:
@@ -578,31 +572,31 @@ def _rows_over(field, var, rows: list, lead) -> UniPoly:
     return UniPoly(field, var, [_from_integers(field, r, lead) for r in rows])
 
 
+def _canonical(field, var, num: list, den: list):
+    """(n, d) canonical with n / d = num / den, for integer rows num and
+    den != 0 (see _row_gcd) over field: the one place canonical form is
+    restored.  The gcd's cofactors over the leading coefficient of den's
+    give a monic d, with each coefficient normalised once."""
+    if not num:
+        return UniPoly(field, var, []), _one_poly(field, var)
+    _, a, b = _row_gcd(field, num, den)
+    return _rows_over(field, var, a, b[-1]), _rows_over(field, var, b, b[-1])
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over Q or Q(x); gcd(0, b) = monic(b), gcd(0, 0) = 0."""
     if a.is_zero or b.is_zero:
         return b.monic() if a.is_zero else a.monic()
-    h = _gcd_parts(a, b)[0]
+    h = _row_gcd(a.field, *_lower(a, b))[0]
     return _rows_over(a.field, a.var, h, h[-1])
 
 
 def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic lcm, a (b / gcd(a, b)); lcm with 0 is 0."""
+    """Monic lcm: a times the denominator of the canonical a / b, which
+    is b / gcd(a, b) made monic; lcm with 0 is 0."""
     if a.is_zero or b.is_zero:
         return UniPoly(a.field, a.var, [])
-    bq = _gcd_parts(a, b)[2]
-    return (a * _rows_over(b.field, b.var, bq, bq[-1])).monic()
-
-
-def _cancel(num: UniPoly, den: UniPoly):
-    """num / g and den / g for g = gcd(num, den), up to one common unit.
-
-    The heuristic's cofactors come divided by the leading coefficient of
-    den's cofactor, so the new den is monic and no division runs.
-    """
-    _, a, b = _gcd_parts(num, den)
-    return (_rows_over(num.field, num.var, a, b[-1]),
-            _rows_over(den.field, den.var, b, b[-1]))
+    return (a * RatFunc(a, b).den).monic()
 
 
 class RatFunc:
@@ -614,14 +608,9 @@ class RatFunc:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            den = UniPoly(num.field, num.var, [num.field.one])
-        else:
-            if num.degree > 0 and den.degree > 0:
-                num, den = _cancel(num, den)
-            lead = den.leading
-            if lead != den.field.one:
-                num = num._same([c / lead for c in num.coeffs])
-                den = den.monic()
+            den = _one_poly(num.field, num.var)
+        elif den.coeffs != (den.field.one,):
+            num, den = _canonical(num.field, num.var, *_lower(num, den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -653,16 +642,7 @@ class RatFunc:
             if other.var == self.var and other.num.field is self.num.field:
                 return other
             return None
-        if isinstance(other, UniPoly):
-            if other.var == self.var and other.field is self.num.field:
-                return RatFunc(other, _one_poly(other.field, other.var))
-            other = _try_coerce_scalar(self.num.field, other)
-        else:
-            other = _try_coerce_scalar(self.num.field, other)
-        if other is None:
-            return None
-        f, v = self.num.field, self.var
-        return RatFunc(UniPoly(f, v, [other]), _one_poly(f, v))
+        return _lift(self.num.field, self.var, other)
 
     def __add__(self, other):
         o = self._coerce_operand(other)
@@ -766,11 +746,16 @@ def _one_poly(field, var):
     return UniPoly(field, var, [field.one])
 
 
-def _try_coerce_scalar(field, value):
-    try:
-        return field.coerce(value)
-    except TypeError:
-        return None
+def _lift(field, var, value):
+    """value as an element of field(var), for a polynomial in var over
+    field or an element of field; None for anything else."""
+    if not (isinstance(value, UniPoly) and value.var == var
+            and value.field is field):
+        try:
+            value = UniPoly(field, var, [field.coerce(value)])
+        except TypeError:
+            return None
+    return RatFunc._reduced(value, _one_poly(field, var))
 
 
 class FractionField:
@@ -780,10 +765,7 @@ class FractionField:
         self.coeff_field = coeff_field
         self.var = var
         self.name = f"{coeff_field.name}({var})"
-        self.zero = RatFunc(UniPoly(coeff_field, var, []),
-                            _one_poly(coeff_field, var))
-        self.one = RatFunc(_one_poly(coeff_field, var),
-                           _one_poly(coeff_field, var))
+        self.zero, self.one = (_lift(coeff_field, var, c) for c in (0, 1))
 
     def poly(self, coeffs):
         return UniPoly(self.coeff_field, self.var, coeffs)
@@ -793,15 +775,11 @@ class FractionField:
         return RatFunc(self.poly([0, 1]), self.poly([1]))
 
     def coerce(self, value):
-        if self.is_element(value):
-            return value
-        if isinstance(value, UniPoly) and value.var == self.var \
-                and value.field is self.coeff_field:
-            return RatFunc(value, self.poly([1]))
-        c = _try_coerce_scalar(self.coeff_field, value)
-        if c is not None:
-            return RatFunc(self.poly([c]), self.poly([1]))
-        raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        lifted = value if self.is_element(value) \
+            else _lift(self.coeff_field, self.var, value)
+        if lifted is None:
+            raise TypeError(f"cannot coerce {value!r} into {self.name}")
+        return lifted
 
     def is_element(self, value):
         return (isinstance(value, RatFunc) and value.var == self.var
@@ -824,23 +802,25 @@ def _integer_numerators(ring, values):
     Over Q each list has one entry.  Over Q(var) the lists are in var
     (lowest first) and den is an integer multiple of the monic lcm L of
     the denominators, so nums[i] / den[-1] are the numerators over L.
-    With D, E the cleared L and v.den, L / v.den = (D / E) lc(E) / lc(D),
-    and D / E is exact in Z[var] by Gauss's lemma (D, E are primitive).
+    With E the cleared (primitive) denominators, D <- D (E / gcd(D, E))
+    with lc(D) > 0 is the cleared L, L / v.den = (D / E) lc(E) / lc(D),
+    and D / E is exact in Z[var] by Gauss's lemma.  Raises TypeError for
+    a coefficient field other than Q or Q(x).
     """
     if isinstance(ring, RationalField):
         nums, den = _clear(values)
         return [[n] for n in nums], [den]
-    dens = dict.fromkeys(v.den for v in values)
-    lcm = _one_poly(QQ, ring.var)
-    for d in dens:
-        if d.degree > 0:
-            lcm = d if lcm.degree == 0 else poly_lcm(lcm, d)
-    D, _ = _clear(lcm.coeffs)
-    for d in dens:
-        E, lc_E = _clear(d.coeffs)
+    if ring.coeff_field is not QQ:
+        raise TypeError(f"no integer rows over {ring.name}")
+    dens = {d: _clear(d.coeffs) for d in dict.fromkeys(v.den for v in values)}
+    D = [1]
+    for E, _ in dens.values():
+        b = _row_gcd(QQ, D, E)[2]           # E / gcd(D, E), up to sign
+        D = _int_product(D, b if b[-1] > 0 else [-x for x in b])
+    for d, (E, lc_E) in dens.items():
         q = _zz_div(D, E)
         if q is None:
-            raise ArithmeticError(f"{d} does not divide the lcm {lcm}")
+            raise ArithmeticError(f"{d} does not divide the lcm {D}")
         dens[d] = [lc_E * x for x in q]
     scale = math.lcm(*(c.denominator for v in values for c in v.num.coeffs))
     return ([_int_product([c.numerator * (scale // c.denominator)
@@ -851,11 +831,12 @@ def _integer_numerators(ring, values):
 def _from_integers(ring, num: list, den: list):
     """num / den for integer coefficient lists as one element of ring.
 
-    This is where the kernels' outputs are normalised, once each.
+    The kernels' outputs are normalised here, once each, by _canonical.
     """
     if isinstance(ring, RationalField):
         return Fraction(num[0] if num else 0, den[0])
-    return RatFunc(UniPoly(QQ, ring.var, num), UniPoly(QQ, ring.var, den))
+    return RatFunc._reduced(*_canonical(QQ, ring.var, _trim(list(num)),
+                                        _trim(list(den))))
 
 
 def substitute_y(R: RatFunc, r: Fraction) -> RatFunc:

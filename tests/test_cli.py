@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from kolberg import (
-    QQ, CoeffSeq, cli, diese_quatuor, g_coeffs, quatuor_to_json,
-    sequence_to_json,
+    QQ, QY, CoeffSeq, cli, diese_quatuor, g_coeffs, parse_qy,
+    quatuor_to_json, sequence_to_json,
 )
 from kolberg.cli import run
 
@@ -58,6 +58,14 @@ class TestExitCodes:
     def test_domain_error_is_4(self, capsys):
         assert run(["eval", "kolberg", "--a", "1", "--x", "2/5"]) == 4
         assert "1/e" in capsys.readouterr().err
+
+    def test_h_work_refused_at_once(self, capsys):
+        # 7026 terms at r = 10^5 are past numeric.MAX_H_WORK
+        start = time.perf_counter()
+        assert run(["verify", "identity", "--r0", "1/y", "--r", "100000",
+                    "--x", "1/1000000", "--tol", "1e-10"]) == 4
+        assert time.perf_counter() - start < 1
+        assert "estimated work" in capsys.readouterr().err
 
     def test_term_cap_is_domain_error(self, capsys):
         # N is chosen from the tail bound before any term is built, so an
@@ -250,6 +258,24 @@ class TestSizeLimits:
         if past:
             assert code == 2 and elapsed < 1
             assert f"must be at most {limit}, got {n}" in err
+        else:
+            assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["at", "past"])
+    def test_assoc_denominator_degree(self, past, capsys, tmp_path):
+        # v_m = 1/(y + m): n distinct linear denominators at order n
+        assert cli.MAX_ASSOC_DEGREE == 80 * 80
+        n = 80 + past
+        seq = tmp_path / "seq.json"
+        seq.write_text(sequence_to_json(CoeffSeq("v", QY, tuple(
+            parse_qy(f"1/(y + {m})") for m in range(n + 1)))))
+        start = time.perf_counter()
+        code = run(["assoc", "--dir", "inv", "--in", str(seq)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        if past:
+            assert code == 2 and elapsed < 1
+            assert f"must be at most {80 * 80}, got {n * n}" in err
         else:
             assert code == 0 and err == ""
 

@@ -15,6 +15,7 @@ one-gcd neighbor relation are checked against the Fraction and four-step
 forms they replace.
 """
 
+import collections
 import math
 import random
 import time
@@ -681,47 +682,50 @@ def pseudo_rem(u: list, v: list) -> list:
     return r
 
 
-def reference_prs(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd over Q(x)[t] by the primitive remainder sequence.
+def reference_prs(u: list, v: list) -> list:
+    """The gcd over Q(x)[t] by the primitive remainder sequence.
 
-    Denominators are cleared so every step is polynomial arithmetic in
-    Q[x][t], and each pseudo-remainder is stripped of its content.
+    u and v are coefficient lists over Q[x]; each pseudo-remainder is
+    stripped of its content, so every step is polynomial arithmetic in
+    Q[x][t] and the result is primitive in Z[x][t].
     """
-    def clear(p):
-        den = UniPoly(QQ, p.field.var, [1])
-        for c in p.coeffs:
-            den = den * c.den.exact_div(reference_euclid(den, c.den))
-        return primitive_rows([c.num * den.exact_div(c.den)
-                               for c in p.coeffs])
-
-    u, v = clear(a), clear(b)
+    u, v = primitive_rows(u), primitive_rows(v)
     if len(u) < len(v):
         u, v = v, u
     while v:
         u, v = v, primitive_rows(pseudo_rem(u, v))
-    return UniPoly(a.field, a.var, u).monic()
+    return u
 
 
-def reference_gcd_parts(a: UniPoly, b: UniPoly):
-    """rational._gcd_parts' integer data (h, a', b') from the reference
-    gcds: h clears the monic gcd g, and a', b' clear a/g, b/g over one
-    common denominator."""
-    if a.field is QQ:
-        g, clear = reference_euclid(a, b), rational._clear
+# calls of reference_row_gcd per field name, since the last reference()
+REFERENCE_CALLS = collections.Counter()
+
+
+def reference_row_gcd(field, f: list, g: list):
+    """rational._row_gcd's integer data (h, f/h, g/h) from the reference
+    gcds: h is the primitive gcd (times the common integer content over
+    Q), and f/h, g/h are exact quotients."""
+    REFERENCE_CALLS[field.name] += 1
+    if field is QQ:
+        h = primitive_scale(reference_euclid(UniPoly(QQ, "x", f),
+                                             UniPoly(QQ, "x", g)))
+        content = math.gcd(math.gcd(*f), math.gcd(*g))
+        h, divide = [content * int(c) for c in h.coeffs], rational._zz_div
     else:
-        g = reference_prs(a, b)
-        clear = lambda cs: rational._integer_numerators(a.field, cs)
-    qa, qb = a.exact_div(g), b.exact_div(g)
-    h, _ = clear(g.coeffs)
-    rows, _ = clear(qa.coeffs + qb.coeffs)
-    n = len(qa.coeffs)
-    return h, rows[:n], rows[n:]
+        def polys(rows):
+            return [UniPoly(QQ, field.var, row) for row in rows]
+        h = [[int(c) for c in p.coeffs]
+             for p in reference_prs(polys(f), polys(g))]
+        divide = rational._zzy_div
+    return h, divide(f, h), divide(g, h)
 
 
 def reference(monkeypatch, fn, *args):
-    """fn(*args) with every gcd, at every level, by the reference gcds."""
+    """fn(*args) with every gcd, at every level, by the reference gcds;
+    REFERENCE_CALLS then counts the gcds per field."""
+    REFERENCE_CALLS.clear()
     with monkeypatch.context() as m:
-        m.setattr(rational, "_gcd_parts", reference_gcd_parts)
+        m.setattr(rational, "_row_gcd", reference_row_gcd)
         return fn(*args)
 
 
@@ -754,7 +758,8 @@ class TestGcdKernel:
             pairs.append((q_poly(rng, rng.randint(1, 5)),
                           q_poly(rng, rng.randint(1, 5))))         # coprime
         for f, g in pairs:
-            assert rational._gcd_parts(f, g) is not None
+            assert rational._row_gcd(
+                f.field, *rational._lower(f, g)) is not None
             got = (poly_gcd(f, g), poly_lcm(f, g), RatFunc(f, g))
             assert got == (reference(monkeypatch, poly_gcd, f, g),
                            reference(monkeypatch, poly_lcm, f, g),
@@ -767,7 +772,8 @@ class TestGcdKernel:
         rng = random.Random(100 * dh + 10 * da + db)
         h, a, b = qyt_poly(rng, dh), qyt_poly(rng, da), qyt_poly(rng, db)
         f, g = h * a, h * b
-        assert rational._gcd_parts(f, g) is not None
+        assert rational._row_gcd(
+            f.field, *rational._lower(f, g)) is not None
         got = poly_gcd(f, g)
         assert got == reference(monkeypatch, poly_gcd, f, g)
         if reference(monkeypatch, poly_gcd, a, b).degree == 0:
@@ -842,6 +848,21 @@ class TestGcdKernel:
 
         fast = canonical()
         assert fast == reference(monkeypatch, canonical)
+        # the t-level gcds and the per-coefficient ones in Q[y] both ran
+        assert REFERENCE_CALLS["Q(y)"] > 0 and REFERENCE_CALLS["Q"] > 0
+
+    def test_parser_normalises_its_own_arrays(self, monkeypatch):
+        # the parser hands its integer arrays straight to the normaliser,
+        # without lowering field elements back to integer rows
+        def refuse(*args, **kwargs):
+            raise AssertionError("lowering path called")
+
+        R = diese_quatuor(-2, 2).level(-2).R
+        c = parse_qy("(y^2 + 1/3)/((y+1)^3*(3*y^2+1))")
+        texts = print_canonical(R), print_canonical(c)
+        monkeypatch.setattr(rational, "_integer_numerators", refuse)
+        monkeypatch.setattr(rational, "_clear", refuse)
+        assert (parse_qyt(texts[0]), parse_qy(texts[1])) == (R, c)
 
 
 class TestByteStable:

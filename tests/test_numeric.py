@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -575,6 +576,37 @@ class TestIdentityCertificate:
         q = diese_quatuor(0, 0)
         cert = check_identity(q.level(0), Fraction(1, 3), Fraction(1, 10))
         assert "PASS" in str(cert) and "residual" in str(cert)
+
+
+class TestHWork:
+    """numeric.MAX_H_WORK refuses an H series before any u_n is built."""
+
+    def test_refused_at_once(self, monkeypatch):
+        # N = 7026 at r = 10^5: it ran for more than 55 minutes unrefused
+        def fail(*args):
+            raise AssertionError("u_n built")
+
+        monkeypatch.setattr(numeric, "_h_u_values", fail)
+        F = kolberg_quatuor(-2, 2).level(1)
+        r, x = Fraction(10 ** 5), Fraction(1, 10 ** 6)
+        for call in (lambda: check_identity(F, r, x, "1e-10"),
+                     lambda: eval_H_series(F, r, x, target_tol="1e-10"),
+                     lambda: eval_H_series(F, r, x, 7026)):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="estimated work"):
+                call()
+            assert time.perf_counter() - start < 1
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        F, r, x = diese_quatuor(0, 0).level(0), Fraction(1, 2), Fraction(1, 5)
+        N = check_identity(F, r, x).terms_used
+        work = numeric._h_work(N, r, x)
+        assert work <= numeric.MAX_H_WORK
+        monkeypatch.setattr(numeric, "MAX_H_WORK", work)
+        assert check_identity(F, r, x).passed
+        monkeypatch.setattr(numeric, "MAX_H_WORK", work - 1)
+        with pytest.raises(DomainError, match="estimated work"):
+            check_identity(F, r, x)
 
 
 class TestClosedEval:
